@@ -4,7 +4,13 @@ import argparse
 import sys
 
 from .certificate import certificate_to_json
-from .errors import BoundTooLarge, NotPrime, RejectedOverride, WrongResidue
+from .errors import (
+    BadTrialCount,
+    BoundTooLarge,
+    NotPrime,
+    RejectedOverride,
+    WrongResidue,
+)
 from .pipeline import PipelineOptions, run_pipeline
 
 
@@ -50,7 +56,7 @@ def main(argv=None) -> int:
     )
     try:
         cert = run_pipeline(args.p, options)
-    except (NotPrime, WrongResidue, RejectedOverride, BoundTooLarge) as exc:
+    except (BadTrialCount, NotPrime, WrongResidue, RejectedOverride, BoundTooLarge) as exc:
         print(f"sbcert: error: {exc}", file=sys.stderr)
         return 2
 

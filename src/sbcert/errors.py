@@ -59,3 +59,7 @@ class BoundTooLarge(SbcertError):
 
 class RejectedOverride(SbcertError):
     pass
+
+
+class BadTrialCount(SbcertError):
+    """Fewer than one sample requested: a PASS would rest on no evidence."""

@@ -6,7 +6,8 @@ exercise the algebra's defining relations, norm forms and division
 property on seeded random samples; generate the projective group and
 verify order, relations, isomorphism and the Jordan index.  Any failed
 check yields a complete FAIL certificate naming the stage; invalid inputs
-raise instead (NotPrime, WrongResidue, RejectedOverride, BoundTooLarge).
+raise instead (BadTrialCount, NotPrime, WrongResidue, RejectedOverride,
+BoundTooLarge).
 """
 
 import random
@@ -17,7 +18,7 @@ from typing import Optional
 from .algebra import CyclicAlgebra
 from .certificate import SCHEMA_VERSION, Certificate
 from .cyclotomic import make_field
-from .errors import NotInvertible, RejectedOverride
+from .errors import BadTrialCount, NotInvertible, RejectedOverride
 from .obstruction import (
     DEFAULT_ENUMERATION_CAP,
     choose_a,
@@ -177,6 +178,10 @@ def _group_failed_substage(report) -> Optional[str]:
 def run_pipeline(p: int, options: Optional[PipelineOptions] = None) -> Certificate:
     """Execute every stage for the prime p; deterministic given options."""
     opts = options or PipelineOptions()
+    if opts.trials < 1:
+        raise BadTrialCount(
+            f"trials = {opts.trials}; the randomized checks need at least one sample"
+        )
     timings = {}
     t_start = time.perf_counter()
 

@@ -169,19 +169,42 @@ def generate_subgroup(gens, cap: int = None) -> list:
 
 
 def cayley_table(elements) -> list:
-    """Index-based multiplication table; errors if the list is not closed."""
+    """Index-based multiplication table; errors if the list is not closed.
+
+    A column not yet known when its index is reached is multiplied out and
+    looked up by key; the known columns are then closed under right
+    multiplication by these direct ones, column c = a*b being filled as
+    table[i][c] = table[table[i][a]][b] (exact: the algebra is associative
+    and K* is central).  Every element is thus a product of direct ones and
+    the list is closed under right multiplication by each of them, hence
+    closed.  For a group each direct column at least doubles the known set,
+    so at most log2(n) + 1 columns (3 in BFS order) cost class products.
+    """
     index = {g.key: i for i, g in enumerate(elements)}
-    table = []
-    for g in elements:
-        row = []
-        for h in elements:
-            prod = g * h
-            idx = index.get(prod.key)
+    n = len(elements)
+    columns = [None] * n  # columns[j][i]: index of elements[i] * elements[j]
+    direct = []
+    for j, h in enumerate(elements):
+        if columns[j] is not None:
+            continue
+        column = []
+        for g in elements:
+            idx = index.get((g * h).key)
             if idx is None:
                 raise SbcertError("element list is not closed under multiplication")
-            row.append(idx)
-        table.append(row)
-    return table
+            column.append(idx)
+        columns[j] = column
+        direct.append(column)
+        pending = [a for a in range(n) if columns[a] is not None]
+        while pending:
+            a = pending.pop()
+            col_a = columns[a]
+            for col_b in direct:
+                c = col_b[a]
+                if columns[c] is None:
+                    columns[c] = [col_b[x] for x in col_a]
+                    pending.append(c)
+    return [list(row) for row in zip(*columns)]
 
 
 def table_identity(table) -> int:

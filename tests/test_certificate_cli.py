@@ -7,7 +7,7 @@ import pytest
 import sbcert.cli as cli
 import sbcert.pipeline as pipeline
 from sbcert.certificate import certificate_to_dict, certificate_to_json, _int_field
-from sbcert.errors import NotPrime, RejectedOverride, WrongResidue
+from sbcert.errors import BadTrialCount, NotPrime, RejectedOverride, WrongResidue
 from sbcert.pipeline import PipelineOptions, run_pipeline
 
 FAST = PipelineOptions(trials=10, norm_search_bound=0)
@@ -42,6 +42,12 @@ def test_pipeline_rejects_cube_override():
         run_pipeline(7, PipelineOptions(a=0))
     with pytest.raises(RejectedOverride):
         run_pipeline(7, PipelineOptions(a=14))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_pipeline_rejects_trials_below_one(trials):
+    with pytest.raises(BadTrialCount):
+        run_pipeline(7, PipelineOptions(trials=trials, norm_search_bound=0))
 
 
 def test_pipeline_accepts_non_cube_override():
@@ -144,6 +150,14 @@ def test_cli_rejections(capsys):
     assert cli.main(["--p", "7", "--a", "6"]) == 2
     captured = capsys.readouterr()
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_rejects_trials_below_one(trials, capsys):
+    assert cli.main(["--p", "7", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sbcert: error: trials = ")
 
 
 def test_cli_usage_error():

@@ -1,11 +1,20 @@
 """Projective classes, group generation, isomorphism, Jordan index."""
 
+import random
+
 import pytest
 
 import sbcert.projective as projective
 from sbcert.algebra import CyclicAlgebra
-from sbcert.cyclotomic import k_coordinate_vector
-from sbcert.errors import CapExceeded, IsoFailure, RelationFailure, ZeroElement
+from sbcert.cyclotomic import k_coordinate_vector, make_field
+from sbcert.errors import (
+    CapExceeded,
+    IsoFailure,
+    RelationFailure,
+    SbcertError,
+    ZeroElement,
+)
+from sbcert.obstruction import choose_a
 from sbcert.projective import (
     AbstractGp,
     alpha_hat,
@@ -25,6 +34,17 @@ from sbcert.projective import (
     xi_hat,
 )
 from sbcert.sampling import random_k_star_elem, random_nonzero_algebra_elem
+
+
+def _brute_force_table(elements):
+    """Reference table: every product multiplied out and looked up."""
+    index = {g.key: i for i, g in enumerate(elements)}
+    return [[index[(g * h).key] for h in elements] for g in elements]
+
+
+def _full_group(p):
+    algebra = CyclicAlgebra(make_field(p), choose_a(p))
+    return generate_subgroup([xi_hat(algebra), alpha_hat(algebra)])
 
 
 def _first_k_coordinate_is_one(x):
@@ -217,3 +237,43 @@ def test_non_abelian_witness(alg7):
     xi = xi_hat(alg7)
     al = alpha_hat(alg7)
     assert xi * al != al * xi
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_cayley_table_matches_brute_force(p):
+    full = _full_group(p)
+    assert cayley_table(full) == _brute_force_table(full)
+    cyclic = generate_subgroup([xi_hat(full[0].algebra)])
+    assert cayley_table(cyclic) == _brute_force_table(cyclic)
+
+
+def test_cayley_table_matches_brute_force_in_any_order(alg7):
+    shuffled = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
+    random.Random(3).shuffle(shuffled)
+    assert shuffled[0] != identity_class(alg7)
+    assert cayley_table(shuffled) == _brute_force_table(shuffled)
+
+
+def test_cayley_table_rejects_unclosed_lists(alg7):
+    full = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
+    for i in range(len(full)):
+        with pytest.raises(SbcertError, match="not closed"):
+            cayley_table(full[:i] + full[i + 1 :])
+    with pytest.raises(SbcertError, match="not closed"):
+        cayley_table([xi_hat(alg7)])
+
+
+def test_cayley_table_work_bound(monkeypatch):
+    full = _full_group(19)
+    assert len(full) == 57
+    calls = 0
+    real = projective.canonicalize
+
+    def counting(x):
+        nonlocal calls
+        calls += 1
+        return real(x)
+
+    monkeypatch.setattr(projective, "canonicalize", counting)
+    cayley_table(full)
+    assert 0 < calls <= 3 * 57
