@@ -24,12 +24,10 @@ from .errors import (
     BoundTooLarge,
     CapExceeded,
     DivisionByZero,
-    IsoFailure,
     NotInvertible,
     NotPrime,
     ParamMismatch,
     RejectedOverride,
-    RelationFailure,
     SbcertError,
     SingularBasis,
     WrongResidue,
@@ -49,12 +47,10 @@ from .projective import (
     GroupReport,
     ProjClass,
     alpha_hat,
-    build_abstract,
     canonicalize,
     cayley_table,
     check_isomorphism,
     class_eq,
-    element_order,
     generate_subgroup,
     group_report,
     identity_class,

@@ -86,9 +86,6 @@ class CyclicAlgebra:
         z = self.field.zero()
         return AlgebraElem(self, lam, z, z)
 
-    def xi_hat_rep(self) -> "AlgebraElem":
-        return self.embed(self.field.xi())
-
 
 class AlgebraElem:
     """x0 + x1*alpha + x2*alpha^2 with components in L."""
@@ -237,7 +234,7 @@ class AlgebraElem:
         det_inv = k_inverse(det)
         inv = AlgebraElem(self.algebra, c00 * det_inv, c10 * det_inv, c20 * det_inv)
         one = self.algebra.one()
-        if inv * self != one or self * inv != one:  # pragma: no cover - internal guard
+        if inv * self != one or self * inv != one:
             raise NotInvertible("cofactor route produced a one-sided inverse")
         return inv
 

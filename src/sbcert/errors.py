@@ -45,14 +45,6 @@ class CapExceeded(SbcertError):
     pass
 
 
-class RelationFailure(SbcertError):
-    pass
-
-
-class IsoFailure(SbcertError):
-    pass
-
-
 class BoundTooLarge(SbcertError):
     pass
 

@@ -12,22 +12,19 @@ breadth-first with canonical-form deduplication, tabulated, and compared
 against the abstract semidirect product Z/p x| Z/3 whose twist is the
 order-3 residue d.  Conjugation by alpha acts on <zeta-hat> as d^-1, so
 the pairing that matches the abstract table as written is
-phi(u, v) = xi-hat^u * (alpha-hat^2)^v.
+phi(u, v) = xi-hat^u * (alpha-hat^2)^v.  The relations, the element orders
+and phi are read off the one table by index, so the only class products
+are those of the generators, the closure and the table's generating
+columns.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraElem, CyclicAlgebra
 from .cyclotomic import k_coordinate_vector, k_inverse_from_period_coords
-from .errors import (
-    CapExceeded,
-    IsoFailure,
-    ParamMismatch,
-    RelationFailure,
-    SbcertError,
-    ZeroElement,
-)
+from .errors import CapExceeded, ParamMismatch, SbcertError, ZeroElement
 
 ISO_CONVENTION = "phi(u, v) = xi_hat^u * (alpha_hat^2)^v"
 
@@ -56,18 +53,6 @@ class ProjClass:
 
     def __mul__(self, other: "ProjClass") -> "ProjClass":
         return canonicalize(self.rep * other.rep)
-
-    def __pow__(self, e: int) -> "ProjClass":
-        if e < 0:
-            return canonicalize(self.rep.inverse()) ** (-e)
-        result = identity_class(self.algebra)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, ProjClass):
@@ -116,21 +101,6 @@ def class_eq(x: AlgebraElem, y: AlgebraElem) -> bool:
     if not ratio.is_in_K():
         return False
     return x == y.scale(ratio)
-
-
-def element_order(g: ProjClass, cap: int = None) -> int:
-    """Smallest n >= 1 with g^n trivial; CapExceeded past the cap."""
-    if cap is None:
-        cap = 10 * g.algebra.field.p
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    e = identity_class(g.algebra)
-    acc = g
-    for n in range(1, cap + 1):
-        if acc == e:
-            return n
-        acc = acc * g
-    raise CapExceeded(f"order exceeds cap {cap}")
 
 
 def generate_subgroup(gens, cap: int = None) -> list:
@@ -229,12 +199,19 @@ def table_orders(table, e: int) -> list:
     return orders
 
 
+def _histogram(orders) -> dict:
+    return dict(sorted(Counter(orders).items()))
+
+
 def order_histogram(table) -> dict:
-    e = table_identity(table)
-    hist = {}
-    for m in table_orders(table, e):
-        hist[m] = hist.get(m, 0) + 1
-    return dict(sorted(hist.items()))
+    return _histogram(table_orders(table, table_identity(table)))
+
+
+def _walk(table, x: int, g: int, steps: int) -> int:
+    """Index of elements[x] * elements[g]^steps, read down column g."""
+    for _ in range(steps):
+        x = table[x][g]
+    return x
 
 
 def is_abelian(table) -> bool:
@@ -250,28 +227,20 @@ def alpha_hat(algebra: CyclicAlgebra) -> ProjClass:
     return canonicalize(algebra.alpha())
 
 
-def verify_relations(algebra: CyclicAlgebra, strict: bool = False) -> dict:
-    """The three defining relations of the target group, as class equalities.
+def verify_relations(table, xi: int, al: int, p: int, d: int) -> dict:
+    """The three defining relations of the target group, read off the table.
 
-    With strict=True the first failing relation raises RelationFailure;
-    otherwise the returned booleans let a caller assemble a complete
-    failure certificate.
+    xi and al index the generator classes; the walks follow their columns,
+    which cayley_table multiplies out directly for the breadth-first order.
+    The returned booleans let a caller assemble a complete failure
+    certificate.
     """
-    p = algebra.field.p
-    d = algebra.field.d
-    e = identity_class(algebra)
-    xi = xi_hat(algebra)
-    al = alpha_hat(algebra)
-    results = {
-        "xi_power_p_trivial": xi**p == e,
-        "alpha_cubed_trivial": al**3 == e,
-        "commutation_twist": xi * al == al * xi**d,
+    e = table_identity(table)
+    return {
+        "xi_power_p_trivial": _walk(table, e, xi, p) == e,
+        "alpha_cubed_trivial": _walk(table, e, al, 3) == e,
+        "commutation_twist": table[xi][al] == _walk(table, al, xi, d),
     }
-    if strict:
-        for name, ok in results.items():
-            if not ok:
-                raise RelationFailure(f"relation {name} failed for p={p}, a={algebra.a}")
-    return results
 
 
 class AbstractGp:
@@ -336,54 +305,32 @@ class AbstractGp:
         return True
 
 
-def build_abstract(p: int, d: int) -> AbstractGp:
-    return AbstractGp(p, d)
+def _iso_result(ok: bool, pairs_checked: int = 0, counterexample=None) -> dict:
+    return {
+        "ok": ok,
+        "pairs_checked": pairs_checked,
+        "counterexample": counterexample,
+        "convention": ISO_CONVENTION,
+    }
 
 
-def check_isomorphism(
-    concrete,
-    abstract: AbstractGp,
-    table: Optional[list] = None,
-    strict: bool = False,
-) -> dict:
-    """Exhaustive bijective-homomorphism check of phi against both tables."""
-    algebra = concrete[0].algebra
+def check_isomorphism(table, xi: int, al: int, abstract: AbstractGp) -> dict:
+    """Exhaustive bijective-homomorphism check of phi against both tables.
+
+    phi(u, v) = xi^u * (al^2)^v is built by walking the generator columns
+    of the concrete table (xi and al are indices into it).
+    """
     n = abstract.order
-    if len(concrete) != n:
-        result = {
-            "ok": False,
-            "pairs_checked": 0,
-            "counterexample": None,
-            "convention": ISO_CONVENTION,
-        }
-        if strict:
-            raise IsoFailure(f"group orders differ: {len(concrete)} vs {n}")
-        return result
-    if table is None:
-        table = cayley_table(concrete)
-    index = {g.key: i for i, g in enumerate(concrete)}
-    e = identity_class(algebra)
-    xi = xi_hat(algebra)
-    al = alpha_hat(algebra)
-    al2 = al * al
-    xi_pows = [e]
-    for _ in range(abstract.p - 1):
-        xi_pows.append(xi_pows[-1] * xi)
-    al2_pows = [e, al2, al2 * al2]
+    if len(table) != n:
+        return _iso_result(False)
     phi = [None] * n
-    for u, v in abstract.elements:
-        img = xi_pows[u] * al2_pows[v]
-        phi[abstract.index((u, v))] = index[img.key]
+    x = table_identity(table)
+    for u in range(abstract.p):
+        for v in range(3):
+            phi[abstract.index((u, v))] = _walk(table, x, al, 2 * v)
+        x = table[x][xi]
     if sorted(phi) != list(range(n)):
-        result = {
-            "ok": False,
-            "pairs_checked": 0,
-            "counterexample": None,
-            "convention": ISO_CONVENTION,
-        }
-        if strict:
-            raise IsoFailure("phi is not a bijection")
-        return result
+        return _iso_result(False)
     atable = abstract.table()
     pairs = 0
     for gi in range(n):
@@ -393,23 +340,11 @@ def check_isomorphism(
             pairs += 1
             if prow[phi[hi]] != phi[arow[hi]]:
                 counterexample = (abstract.elements[gi], abstract.elements[hi])
-                if strict:
-                    raise IsoFailure(f"phi breaks at pair {counterexample}")
-                return {
-                    "ok": False,
-                    "pairs_checked": pairs,
-                    "counterexample": counterexample,
-                    "convention": ISO_CONVENTION,
-                }
-    return {
-        "ok": True,
-        "pairs_checked": pairs,
-        "counterexample": None,
-        "convention": ISO_CONVENTION,
-    }
+                return _iso_result(False, pairs, counterexample)
+    return _iso_result(True, pairs)
 
 
-def jordan_index_check(elements, table: Optional[list] = None) -> int:
+def jordan_index_check(table) -> int:
     """Minimal index of a normal abelian subgroup, by full enumeration.
 
     For groups of order 3p (and the degenerate prime-order guard inputs)
@@ -417,8 +352,6 @@ def jordan_index_check(elements, table: Optional[list] = None) -> int:
     the trivial group, the cyclic closures of single elements, and the
     whole group exhaust all subgroups.
     """
-    if table is None:
-        table = cayley_table(elements)
     n = len(table)
     e = table_identity(table)
     inv = [row.index(e) for row in table]
@@ -469,39 +402,45 @@ class GroupReport:
     counterexample: Optional[tuple] = None
 
     @property
-    def all_ok(self) -> bool:
-        return (
-            all(self.relations_ok.values())
-            and self.iso_ok
-            and self.abstract_axioms_ok
-            and self.histograms_match
-            and self.jordan_index == 3
-            and self.non_abelian
+    def failed_substage(self) -> Optional[str]:
+        """The first failing check as "group:<name>", or None."""
+        checks = (
+            ("relations", all(self.relations_ok.values())),
+            ("abstract_axioms", self.abstract_axioms_ok),
+            ("isomorphism", self.iso_ok),
+            ("order_histogram", self.histograms_match),
+            ("jordan_index", self.jordan_index == 3),
+            ("non_abelian", self.non_abelian),
         )
+        return next((f"group:{name}" for name, ok in checks if not ok), None)
+
+    @property
+    def all_ok(self) -> bool:
+        return self.failed_substage is None
 
 
-def group_report(algebra: CyclicAlgebra, cap: Optional[int] = None) -> GroupReport:
-    """Generate the group, tabulate it, and run every structural check."""
-    fieldp = algebra.field.p
+def group_report(algebra: CyclicAlgebra) -> GroupReport:
+    """Generate the group, tabulate it, and read every check off the table."""
+    p = algebra.field.p
+    d = algebra.field.d
     xi = xi_hat(algebra)
     al = alpha_hat(algebra)
-    elements = generate_subgroup([xi, al], cap=cap)
+    elements = generate_subgroup([xi, al])
     table = cayley_table(elements)
-    hist = order_histogram(table)
-    relations = verify_relations(algebra)
-    gen_orders = {
-        "xi_hat": element_order(xi),
-        "alpha_hat": element_order(al),
-    }
-    abstract = build_abstract(fieldp, algebra.field.d)
+    xi_i = elements.index(xi)
+    al_i = elements.index(al)
+    orders = table_orders(table, table_identity(table))
+    hist = _histogram(orders)
+    relations = verify_relations(table, xi_i, al_i, p, d)
+    abstract = AbstractGp(p, d)
     axioms_ok = abstract.verify_axioms()
-    iso = check_isomorphism(elements, abstract, table=table)
-    jordan = jordan_index_check(elements, table=table)
+    iso = check_isomorphism(table, xi_i, al_i, abstract)
+    jordan = jordan_index_check(table)
     return GroupReport(
         order=len(elements),
         order_histogram=hist,
         relations_ok=relations,
-        generator_orders=gen_orders,
+        generator_orders={"xi_hat": orders[xi_i], "alpha_hat": orders[al_i]},
         iso_ok=iso["ok"],
         iso_pairs_checked=iso["pairs_checked"],
         iso_convention=iso["convention"],

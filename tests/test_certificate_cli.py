@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import sbcert.algebra as algebra_module
 import sbcert.cli as cli
 import sbcert.pipeline as pipeline
 from sbcert.certificate import certificate_to_dict, certificate_to_json, _int_field
@@ -112,8 +113,8 @@ def test_failed_algebra_stage_serializes(monkeypatch):
 def test_failed_group_substage_named(monkeypatch):
     real = pipeline.group_report
 
-    def sabotaged(algebra, cap=None):
-        report = real(algebra, cap=cap)
+    def sabotaged(algebra):
+        report = real(algebra)
         report.jordan_index = 21
         return report
 
@@ -121,6 +122,18 @@ def test_failed_group_substage_named(monkeypatch):
     cert = run_pipeline(7, FAST)
     assert cert.overall == "FAIL"
     assert cert.failed_stage == "group:jordan_index"
+
+
+def test_division_failure_fails_algebra_stage(monkeypatch):
+    # a wrong inverse scale makes inverse()'s own two-sided check refuse
+    # every sample; the division loop relies on that check alone
+    real = algebra_module.k_inverse
+    monkeypatch.setattr(algebra_module, "k_inverse", lambda det: real(det) * 2)
+    cert = run_pipeline(7, FAST)
+    block = cert.algebra_checks["division_property"]
+    assert block == {"trials": 20, "failures": 20, "ok": False}
+    assert cert.overall == "FAIL"
+    assert cert.failed_stage == "algebra"
 
 
 def test_cli_pass(tmp_path, capsys):

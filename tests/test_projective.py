@@ -1,39 +1,37 @@
 """Projective classes, group generation, isomorphism, Jordan index."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 import sbcert.projective as projective
 from sbcert.algebra import CyclicAlgebra
+from sbcert.certificate import _group_dict
 from sbcert.cyclotomic import k_coordinate_vector, make_field
-from sbcert.errors import (
-    CapExceeded,
-    IsoFailure,
-    RelationFailure,
-    SbcertError,
-    ZeroElement,
-)
+from sbcert.errors import CapExceeded, SbcertError, ZeroElement
 from sbcert.obstruction import choose_a
 from sbcert.projective import (
     AbstractGp,
     alpha_hat,
-    build_abstract,
     canonicalize,
     cayley_table,
     check_isomorphism,
     class_eq,
-    element_order,
     generate_subgroup,
     group_report,
     identity_class,
     is_abelian,
     jordan_index_check,
     order_histogram,
+    table_orders,
     verify_relations,
     xi_hat,
 )
 from sbcert.sampling import random_k_star_elem, random_nonzero_algebra_elem
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _brute_force_table(elements):
@@ -45,6 +43,25 @@ def _brute_force_table(elements):
 def _full_group(p):
     algebra = CyclicAlgebra(make_field(p), choose_a(p))
     return generate_subgroup([xi_hat(algebra), alpha_hat(algebra)])
+
+
+def _tabulated(algebra):
+    """The full group's table and the table indices of xi-hat and alpha-hat."""
+    full = generate_subgroup([xi_hat(algebra), alpha_hat(algebra)])
+    return cayley_table(full), full.index(xi_hat(algebra)), full.index(alpha_hat(algebra))
+
+
+def _counting_canonicalize(monkeypatch):
+    """Route projective.canonicalize through a counter; returns the counts."""
+    counts = {"calls": 0}
+    real = projective.canonicalize
+
+    def counting(x):
+        counts["calls"] += 1
+        return real(x)
+
+    monkeypatch.setattr(projective, "canonicalize", counting)
+    return counts
 
 
 def _first_k_coordinate_is_one(x):
@@ -104,11 +121,9 @@ def test_class_eq_agrees_with_canonical_equality(alg7, field7, rng):
 
 
 def test_element_orders(alg7):
-    assert element_order(identity_class(alg7)) == 1
-    assert element_order(alpha_hat(alg7)) == 3
-    assert element_order(xi_hat(alg7)) == 7
-    with pytest.raises(CapExceeded):
-        element_order(xi_hat(alg7), cap=3)
+    table, xi, al = _tabulated(alg7)
+    orders = table_orders(table, 0)
+    assert (orders[0], orders[al], orders[xi]) == (1, 3, 7)
 
 
 def test_xi_powers_nontrivial_below_p(alg7):
@@ -139,25 +154,35 @@ def test_generation_deterministic(alg7):
 
 
 def test_verify_relations(alg7):
-    results = verify_relations(alg7)
+    table, xi, al = _tabulated(alg7)
+    results = verify_relations(table, xi, al, 7, 2)
     assert results == {
         "xi_power_p_trivial": True,
         "alpha_cubed_trivial": True,
         "commutation_twist": True,
     }
-    verify_relations(alg7, strict=True)  # must not raise
     assert alpha_hat(alg7) != identity_class(alg7)
+    # the same relations multiplied out directly in the algebra
+    e = identity_class(alg7)
+    xi_c, al_c = xi_hat(alg7), alpha_hat(alg7)
+    assert al_c * al_c * al_c == e
+    assert xi_c * al_c == al_c * xi_c * xi_c
 
 
-def test_verify_relations_strict_failure(alg7, monkeypatch):
-    # force xi-hat to alias alpha-hat: xi^p then lands off the identity
-    monkeypatch.setattr(projective, "xi_hat", lambda algebra: alpha_hat(algebra))
-    with pytest.raises(RelationFailure):
-        verify_relations(alg7, strict=True)
+def test_verify_relations_swapped_generators(alg7):
+    # alpha-hat in the xi slot: its 7th power is alpha-hat itself, not 1
+    table, xi, al = _tabulated(alg7)
+    results = verify_relations(table, al, xi, 7, 2)
+    assert not results["xi_power_p_trivial"]
+    assert not all(results.values())
+    # the wrong twist d = 4 breaks only the commutation relation
+    wrong = verify_relations(table, xi, al, 7, 4)
+    assert wrong["xi_power_p_trivial"] and wrong["alpha_cubed_trivial"]
+    assert not wrong["commutation_twist"]
 
 
 def test_abstract_group_p7():
-    abstract = build_abstract(7, 2)
+    abstract = AbstractGp(7, 2)
     assert abstract.order == 21
     assert abstract.verify_axioms()
     assert abstract.order_histogram() == {1: 1, 3: 14, 7: 6}
@@ -168,34 +193,44 @@ def test_abstract_group_p7():
 
 
 def test_isomorphism_p7(alg7):
-    elements = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
-    abstract = build_abstract(7, 2)
-    result = check_isomorphism(elements, abstract)
+    table, xi, al = _tabulated(alg7)
+    abstract = AbstractGp(7, 2)
+    result = check_isomorphism(table, xi, al, abstract)
     assert result["ok"]
     assert result["pairs_checked"] == 441
     assert result["counterexample"] is None
-    table = cayley_table(elements)
     assert order_histogram(table) == abstract.order_histogram()
 
 
 def test_isomorphism_rejects_wrong_twist(alg7):
-    elements = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
+    table, xi, al = _tabulated(alg7)
     # d = 4 = 2^2 also has order 3 mod 7 but is the inverse action: the
     # fixed pairing cannot be a homomorphism onto that table
-    wrong = build_abstract(7, 4)
-    result = check_isomorphism(elements, wrong)
+    result = check_isomorphism(table, xi, al, AbstractGp(7, 4))
     assert not result["ok"]
+    assert 0 < result["pairs_checked"] < 441
     assert result["counterexample"] is not None
-    with pytest.raises(IsoFailure):
-        check_isomorphism(elements, wrong, strict=True)
+
+
+def test_isomorphism_rejects_non_bijective_phi(alg7):
+    table, xi, al = _tabulated(alg7)
+    # xi == al: phi(u, v) = al^(u + 2v) takes only three values
+    result = check_isomorphism(table, al, al, AbstractGp(7, 2))
+    assert not result["ok"]
+    assert result["pairs_checked"] == 0
+    assert result["counterexample"] is None
+    # a table of the wrong order is rejected before phi is built
+    cyclic = cayley_table(generate_subgroup([xi_hat(alg7)]))
+    short = check_isomorphism(cyclic, 1, 0, AbstractGp(7, 2))
+    assert not short["ok"] and short["pairs_checked"] == 0
 
 
 def test_jordan_index(alg7):
     full = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
-    assert jordan_index_check(full) == 3
+    assert jordan_index_check(cayley_table(full)) == 3
     # degenerate guard: an abelian input reports index 1
     cyclic = generate_subgroup([xi_hat(alg7)])
-    assert jordan_index_check(cyclic) == 1
+    assert jordan_index_check(cayley_table(cyclic)) == 1
 
 
 def test_group_table_structure(alg7):
@@ -266,14 +301,22 @@ def test_cayley_table_rejects_unclosed_lists(alg7):
 def test_cayley_table_work_bound(monkeypatch):
     full = _full_group(19)
     assert len(full) == 57
-    calls = 0
-    real = projective.canonicalize
-
-    def counting(x):
-        nonlocal calls
-        calls += 1
-        return real(x)
-
-    monkeypatch.setattr(projective, "canonicalize", counting)
+    counts = _counting_canonicalize(monkeypatch)
     cayley_table(full)
-    assert 0 < calls <= 3 * 57
+    assert 0 < counts["calls"] <= 3 * 57
+
+
+def test_group_report_work_bound(monkeypatch):
+    # two generators, 2 * 57 closure products, 3 * 57 table products; the
+    # relations, orders and isomorphism make none of their own
+    algebra = CyclicAlgebra(make_field(19), choose_a(19))
+    counts = _counting_canonicalize(monkeypatch)
+    assert group_report(algebra).all_ok
+    assert 0 < counts["calls"] <= 2 + 2 * 57 + 3 * 57
+
+
+@pytest.mark.parametrize("p", [19, 31])
+def test_group_report_matches_golden(p):
+    expected = json.loads((GOLDEN / f"group_p{p}.json").read_text())
+    report = group_report(CyclicAlgebra(make_field(p), choose_a(p)))
+    assert _group_dict(report) == expected
