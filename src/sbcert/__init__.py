@@ -50,7 +50,6 @@ from .projective import (
     canonicalize,
     cayley_table,
     check_isomorphism,
-    class_eq,
     generate_subgroup,
     group_report,
     identity_class,

@@ -14,14 +14,18 @@ transposed s/s^2 variant fails lambda*alpha = alpha*s(lambda)).
 
 The splitting matrix M(x) encodes right multiplication on the left-L basis
 {1, alpha, alpha^2}; with rows ordered that way M is multiplicative, its
-determinant is the reduced norm, and solving against M(x)^T inverts x.
+determinant is the reduced norm Nrd(x), and the first row of its adjugate
+over Nrd(x) is x^-1.  Left multiplication on A as a Q-space of dimension
+3(p-1) has determinant N_{K/Q}(Nrd x)^3, an exact identity the pipeline
+checks against the norm of L.
 """
 
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .cyclotomic import CycloField, FieldElem, k_inverse
 from .errors import DivisionByZero, NotInvertible, ParamMismatch
+from .obstruction import is_cube_mod_p
 from .rationals import Rat, as_rat
 
 
@@ -37,12 +41,11 @@ class CyclicAlgebra:
         self.field = field
         self.a = a
         # division certified iff a is an integer unit mod p with non-cube residue
-        flag = False
-        if a.denominator == 1:
-            n = int(a.numerator)
-            if gcd(n, field.p) == 1:
-                flag = pow(n, (field.p - 1) // 3, field.p) != 1
-        self.division_certified = flag
+        self.division_certified = (
+            a.denominator == 1
+            and a.numerator % field.p != 0
+            and not is_cube_mod_p(a.numerator, field.p)
+        )
 
     def __eq__(self, other):
         return (
@@ -199,76 +202,49 @@ class AlgebraElem:
             (s_x1 * a, s_x2 * a, s_x0),
         )
 
+    def _cofactors(self):
+        """First-column cofactors of the splitting matrix, and its determinant."""
+        m = self.splitting_matrix()
+        c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
+        c10 = m[2][1] * m[0][2] - m[0][1] * m[2][2]
+        c20 = m[0][1] * m[1][2] - m[1][1] * m[0][2]
+        return (c00, c10, c20), m[0][0] * c00 + m[1][0] * c10 + m[2][0] * c20
+
     def reduced_norm(self) -> FieldElem:
         """det of the splitting matrix; lands in K and is multiplicative."""
-        m = self.splitting_matrix()
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+        return self._cofactors()[1]
 
     def inverse(self) -> "AlgebraElem":
         """Two-sided inverse; both identities are verified before returning.
 
         Cofactor route: the components of x^-1 are the first row of
         adj(M(x)) divided by the reduced norm, so only one field inversion
-        (of the norm, an element of K) is ever performed.  The
-        division-based 3x3 solve is retained as inverse_via_solve() and the
-        suite checks the two agree; measured at p = 31 the elimination
-        route is ~6x slower because every pivot division is a field
-        inversion on grown intermediates.
+        (of the norm, an element of K) is ever performed.  The suite checks
+        it against an independent 3x3 elimination over L, which is slower
+        because every pivot division is a field inversion on grown
+        intermediates.
         """
         if not self:
             raise DivisionByZero("inverse of the zero element")
-        m = self.splitting_matrix()
-        c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
-        c10 = m[2][1] * m[0][2] - m[0][1] * m[2][2]
-        c20 = m[0][1] * m[1][2] - m[1][1] * m[0][2]
-        det = m[0][0] * c00 + m[1][0] * c10 + m[2][0] * c20
+        cofactors, det = self._cofactors()
         if not det:
             raise NotInvertible(
                 "reduced norm is zero: the element is a zero divisor "
                 "(the algebra is split for this parameter)"
             )
         det_inv = k_inverse(det)
-        inv = AlgebraElem(self.algebra, c00 * det_inv, c10 * det_inv, c20 * det_inv)
+        inv = AlgebraElem(self.algebra, *(c * det_inv for c in cofactors))
         one = self.algebra.one()
         if inv * self != one or self * inv != one:
             raise NotInvertible("cofactor route produced a one-sided inverse")
-        return inv
-
-    def inverse_via_solve(self) -> "AlgebraElem":
-        """Two-sided inverse by 3x3 Gaussian elimination over L.
-
-        Independent of the cofactor route; right multiplication by the
-        unknown is L-linear, i.e. the system is M(x)^T y = e0.
-        """
-        if not self:
-            raise DivisionByZero("inverse of the zero element")
-        m = self.splitting_matrix()
-        field = self.algebra.field
-        mt = [[m[r][c] for r in range(3)] for c in range(3)]
-        rhs = [field.one(), field.zero(), field.zero()]
-        try:
-            sol = linalg.solve(mt, rhs)
-        except linalg.SingularMatrix as exc:
-            raise NotInvertible(
-                "singular right-multiplication matrix: the element has reduced "
-                "norm zero (the algebra is split for this parameter)"
-            ) from exc
-        inv = AlgebraElem(self.algebra, *sol)
-        one = self.algebra.one()
-        if inv * self != one or self * inv != one:  # pragma: no cover - internal guard
-            raise NotInvertible("solver produced a one-sided inverse")
         return inv
 
     def regular_rep_det(self) -> Rat:
         """Exact determinant of left multiplication by x on A as a Q-space.
 
         The space has dimension 3(p-1): component index times the power
-        basis of L.  Independent witness for the vanishing locus of the
-        reduced norm.
+        basis of L.  An independent witness for the reduced norm through
+        the exact identity det_Q(L_x) = N_{L/Q}(Nrd x) = N_{K/Q}(Nrd x)^3.
         """
         field = self.algebra.field
         n = field.degree

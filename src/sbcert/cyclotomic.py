@@ -286,19 +286,28 @@ class FieldElem:
 
     # -- field-specific operations -----------------------------------------
 
-    def inv(self) -> "FieldElem":
-        """Multiplicative inverse via the norm.
+    def _conjugate_product(self):
+        """(rest, N(y)) for the integral y = den * x.
 
-        For the integral y = den * x, den times the product of the other
-        p - 2 conjugates of y, over the nonzero integer N(y), is x^-1.
+        rest is the product of the p - 2 conjugates of y other than y itself,
+        so y * rest is the integer N(y).
         """
-        if not self:
-            raise DivisionByZero("inverse of zero")
         y = FieldElem(self.field, self.num)
         rest = self.field.one()
         for t in range(2, self.field.p):
             rest = rest * y.apply_aut(t)
-        return rest * Rat(self.den, (y * rest).num[0])
+        return rest, (y * rest).num[0]
+
+    def norm(self) -> Rat:
+        """The absolute norm N_{L/Q}(x), the product of all p - 1 conjugates."""
+        return Rat(self._conjugate_product()[1], self.den**self.field.degree)
+
+    def inv(self) -> "FieldElem":
+        """Multiplicative inverse via the norm: x^-1 = den * rest / N(den * x)."""
+        if not self:
+            raise DivisionByZero("inverse of zero")
+        rest, norm_y = self._conjugate_product()
+        return rest * Rat(self.den, norm_y)
 
     def apply_aut(self, t: int) -> "FieldElem":
         """The ring automorphism zeta^i -> zeta^(t*i mod p).

@@ -1,62 +1,73 @@
-"""Exact dense linear algebra.
+"""Exact dense linear algebra over Q.
 
 Rational matrices (int or Fraction entries) are cleared to integers row
-by row and eliminated fraction-free (Bareiss), so every intermediate entry
-is an exact integer minor and rationals appear only in the answer.  solve() also takes entries from any other exact field that
-supports +, -, *, /, bool() as a nonzero test and == (cyclotomic field
-elements), and runs the same elimination with field division.  Pivoting
-always takes the first nonzero candidate, so every result is deterministic.
+by row and run through one forward fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968; Cohen, A Course in Computational Algebraic Number
+Theory, 2.2), so every intermediate entry is an exact integer minor.  The
+determinant is that elimination alone; solve() and invert() add exact
+integer back-substitution, and rationals appear only in their answers.
+Pivoting always takes the first nonzero candidate, so every result is
+deterministic.
 """
-
-from operator import floordiv, truediv
 
 from .errors import SingularMatrix
 from .rationals import Rat, ints_over_den
 
 
-def _gauss_jordan(rows, n, div):
-    """Eliminate rows [A | B] in place; returns c = +-det(A).
+def _bareiss(rows, n):
+    """Eliminate the integer rows [A | B] in place, A the leading n columns.
 
-    Fraction-free Gauss-Jordan (Bareiss): after step k every entry right of
-    column k is an exact (k+1)-minor of the input, so each division by the
-    previous pivot is exact; div is // for integers and / over a field.  A
-    ends as c * I (its eliminated columns are left stale), and the solution
-    of A X = B is rows[i][n:] / c.
+    After step k every entry right of column k below row k is an exact
+    (k+1)-minor of the input, so each division by the previous pivot is
+    exact.  Returns det(A); when it is nonzero, A ends upper triangular and
+    [A | B] has the solutions of the input system.
     """
-    prev = 1
+    sign = prev = 1
     for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k]), None)
-        if pivot is None:
-            raise SingularMatrix(f"no pivot in column {k}")
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        tail_k = rows[k][k:]
-        pkk = tail_k[0]
-        for i in range(n):
-            if i != k:
-                row = rows[i]
-                mik = row[k]
-                row[k:] = [div(e * pkk - mik * f, prev) for e, f in zip(row[k:], tail_k)]
+        if not rows[k][k]:
+            pivot = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if pivot is None:
+                return 0
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        row_k = rows[k]
+        pkk = row_k[k]
+        width = len(row_k)
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            mik = row_i[k]
+            for j in range(k + 1, width):
+                row_i[j] = (row_i[j] * pkk - mik * row_k[j]) // prev
+            row_i[k] = 0
         prev = pkk
-    return prev
+    return sign * prev
+
+
+def _solve_ints(rows, n):
+    """Solve A X = B for the integer rows [A | B]; the rows of X as Rat.
+
+    det(A) * X is integral by Cramer's rule, so the back-substitution
+    D_i = (det * b_i - sum_{j>i} a_ij D_j) // a_ii of D = det(A) * X
+    divides exactly.
+    """
+    det = _bareiss(rows, n)
+    if not det:
+        raise SingularMatrix(f"singular {n} x {n} matrix")
+    scaled = [None] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        scaled[i] = [
+            (det * row[n + c] - sum(row[j] * scaled[j][c] for j in range(i + 1, n))) // row[i]
+            for c in range(len(row) - n)
+        ]
+    return [[Rat(e, det) for e in row] for row in scaled]
 
 
 def solve(matrix, rhs):
-    """Solve matrix @ x = rhs exactly; raises SingularMatrix.
-
-    A rational system is answered in Rat, any other exact field in its own
-    element type.
-    """
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    types = {type(e) for row in aug for e in row}
-    if not all(issubclass(t, (int, Rat)) for t in types):
-        c = _gauss_jordan(aug, n, truediv)
-        return [row[n] / c for row in aug]
-    if types != {int}:
-        # scaling a whole row of [A | b] leaves the solution unchanged
-        aug = [ints_over_den(row)[0] for row in aug]
-    c = _gauss_jordan(aug, n, floordiv)
-    return [Rat(row[n], c) for row in aug]
+    """Solve matrix @ x = rhs exactly for rationals; raises SingularMatrix."""
+    # scaling a whole row of [A | b] leaves the solution unchanged
+    rows = [ints_over_den([*row, b])[0] for row, b in zip(matrix, rhs)]
+    return [x for (x,) in _solve_ints(rows, len(rows))]
 
 
 def invert(matrix):
@@ -67,70 +78,15 @@ def invert(matrix):
         ints, m = ints_over_den(row)
         # (m * row_i) X = m * e_i row by row, i.e. (D A) X = D for X = A^-1
         rows.append(ints + [m if j == i else 0 for j in range(n)])
-    c = _gauss_jordan(rows, n, floordiv)
-    return [[Rat(e, c) for e in row[n:]] for row in rows]
-
-
-def rank(matrix):
-    """Rank by exact forward elimination."""
-    if not matrix:
-        return 0
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0])
-    rk = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rk, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        prow = rows[rk]
-        for r in range(rk + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] / prow[col]
-                rows[r] = [rows[r][c] - factor * prow[c] for c in range(ncols)]
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk
+    return _solve_ints(rows, n)
 
 
 def det_rational(matrix) -> Rat:
-    """Exact determinant of a square matrix of rationals.
-
-    Denominators are cleared row by row and the integer part handled by
-    fraction-free Bareiss elimination, which keeps intermediate entries as
-    exact minors instead of letting rational reductions thrash.
-    """
-    if not matrix:
-        return Rat(1)
+    """Exact determinant of a square rational matrix; 1 for the empty one."""
     scale = 1
     rows = []
     for row in matrix:
         ints, m = ints_over_den(row)
         scale *= m
         rows.append(ints)
-    return Rat(_det_bareiss(rows), scale)
-
-
-def _det_bareiss(m):
-    # in-place fraction-free elimination; entries are exact k-minors
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pkk - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
-    return sign * m[n - 1][n - 1]
+    return Rat(_bareiss(rows, len(rows)), scale)

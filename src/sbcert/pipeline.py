@@ -127,10 +127,11 @@ def run_algebra_checks(algebra: CyclicAlgebra, seed: int, trials: int) -> dict:
             failures += 1
     out["division_property"] = _trial_block(division_trials, failures)
 
+    # exact identity det_Q(L_x) = N_{L/Q}(Nrd x) = N_{K/Q}(Nrd x)^3
     failures = 0
     for _ in range(trials):
         x = random_algebra_elem(algebra, rng)
-        if (x.regular_rep_det() == 0) != (not x.reduced_norm()):
+        if x.regular_rep_det() != x.reduced_norm().norm():
             failures += 1
     out["norm_oracle_agreement"] = _trial_block(trials, failures)
     return out

@@ -4,8 +4,7 @@ A class {c*x : c in K*} is stored by its canonical representative: scale x
 so that the first nonzero of its nine K-coordinates (component index i,
 then power j in the K-basis {1, zeta, zeta^2}) equals 1.  Scaling by K*
 multiplies every K-coordinate by the same element of K, so the canonical
-representative is a complete class invariant; class_eq() re-derives the
-same relation by a direct ratio test and serves as the independent oracle.
+representative is a complete class invariant.
 
 The subgroup generated by the classes of zeta and alpha is expanded
 breadth-first with canonical-form deduplication, tabulated, and compared
@@ -24,7 +23,7 @@ from typing import Optional
 
 from .algebra import AlgebraElem, CyclicAlgebra
 from .cyclotomic import k_coordinate_vector, k_inverse_from_period_coords
-from .errors import CapExceeded, ParamMismatch, SbcertError, ZeroElement
+from .errors import CapExceeded, SbcertError, ZeroElement
 
 ISO_CONVENTION = "phi(u, v) = xi_hat^u * (alpha_hat^2)^v"
 
@@ -85,22 +84,6 @@ def canonicalize(x: AlgebraElem) -> ProjClass:
 
 def identity_class(algebra: CyclicAlgebra) -> ProjClass:
     return ProjClass(algebra.one())
-
-
-def class_eq(x: AlgebraElem, y: AlgebraElem) -> bool:
-    """Direct test for x = c*y with c in K*; independent of canonicalize()."""
-    if not x or not y:
-        raise ZeroElement("projective comparison of the zero element")
-    if x.algebra != y.algebra:
-        raise ParamMismatch("elements from different algebras")
-    pivot = next(i for i, yc in enumerate(y.components) if yc)
-    xc = x.components[pivot]
-    if not xc:
-        return False
-    ratio = xc * y.components[pivot].inv()
-    if not ratio.is_in_K():
-        return False
-    return x == y.scale(ratio)
 
 
 def generate_subgroup(gens, cap: int = None) -> list:

@@ -1,6 +1,7 @@
 """Cyclic algebra: defining relations, norm forms, division evidence."""
 
 import pytest
+from oracles import inverse_via_solve
 
 from sbcert.algebra import CyclicAlgebra
 from sbcert.cyclotomic import make_field
@@ -137,7 +138,7 @@ def test_inverse_special_values(alg7, field7):
 def test_inverse_routes_agree(alg7, rng):
     for _ in range(100):
         x = random_nonzero_algebra_elem(alg7, rng)
-        assert x.inverse() == x.inverse_via_solve()
+        assert x.inverse() == inverse_via_solve(x)
 
 
 def test_split_parameter_has_zero_divisors(field7):
@@ -150,7 +151,7 @@ def test_split_parameter_has_zero_divisors(field7):
     with pytest.raises(NotInvertible):
         zd.inverse()
     with pytest.raises(NotInvertible):
-        zd.inverse_via_solve()
+        inverse_via_solve(zd)
 
 
 def test_division_certified_flag(field7):
@@ -166,6 +167,15 @@ def test_regular_rep_det_values(alg7):
     assert alg7.one().regular_rep_det() == 1
     doubled = alg7.embed(2)
     assert doubled.regular_rep_det() == Rat(2) ** 18  # scalar on a 3(p-1)-dim space
+
+
+def test_regular_rep_det_is_norm_of_reduced_norm(alg7, field13, rng):
+    # det_Q(L_x) = N_{L/Q}(Nrd x) = N_{K/Q}(Nrd x)^3
+    alg13 = CyclicAlgebra(field13, 2)
+    for algebra, trials in ((alg7, 20), (alg13, 5)):
+        for _ in range(trials):
+            x = random_algebra_elem(algebra, rng)
+            assert x.regular_rep_det() == x.reduced_norm().norm()
 
 
 def test_cross_oracle_vanishing(alg7, field7, rng):

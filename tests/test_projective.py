@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from oracles import class_eq
 
 import sbcert.projective as projective
 from sbcert.algebra import CyclicAlgebra
@@ -18,7 +19,6 @@ from sbcert.projective import (
     canonicalize,
     cayley_table,
     check_isomorphism,
-    class_eq,
     generate_subgroup,
     group_report,
     identity_class,
