@@ -11,10 +11,12 @@ breadth-first with canonical-form deduplication, tabulated, and compared
 against the abstract semidirect product Z/p x| Z/3 whose twist is the
 order-3 residue d.  Conjugation by alpha acts on <zeta-hat> as d^-1, so
 the pairing that matches the abstract table as written is
-phi(u, v) = xi-hat^u * (alpha-hat^2)^v.  The relations, the element orders
-and phi are read off the one table by index, so the only class products
-are those of the generators, the closure and the table's generating
-columns.
+phi(u, v) = xi-hat^u * (alpha-hat^2)^v.  The breadth-first expansion is the
+only place classes are multiplied: it records each element's products with
+the generators, the table is built from those edges by index, and the
+relations, the element orders and phi are read off the one table, so a
+group stage makes 6p + 2 class products (the two generators and the 2 * 3p
+expansion products).
 """
 
 from collections import Counter
@@ -86,77 +88,58 @@ def identity_class(algebra: CyclicAlgebra) -> ProjClass:
     return ProjClass(algebra.one())
 
 
-def generate_subgroup(gens, cap: int = None) -> list:
+def generate_subgroup(gens) -> list:
     """Closure under multiplication, breadth-first from the identity.
 
-    Element order is BFS layer then discovery order; products are taken as
-    (known element) * (generator) in the given generator order.  For a
-    finite group, closure under multiplication alone suffices.
+    Returns one (class, successors) pair per element, in BFS layer then
+    discovery order, where successors[k] is the index of class * gens[k].
+    These are the only class products; cayley_table reads the rest of the
+    table off these edges.  For a finite group, closure under multiplication
+    alone suffices; more than 10p classes (the group has 3p) raises.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("at least one generator (or an explicit identity) required")
     algebra = gens[0].algebra
-    if cap is None:
-        cap = 10 * algebra.field.p
+    cap = 10 * algebra.field.p
     e = identity_class(algebra)
-    seen = {e.key}
-    elements = [e]
-    frontier = [e]
-    while frontier:
-        new_layer = []
-        for g in frontier:
-            for s in gens:
-                h = g * s
-                if h.key not in seen:
-                    seen.add(h.key)
-                    elements.append(h)
-                    new_layer.append(h)
-                    if len(elements) > cap:
-                        raise CapExceeded(
-                            f"subgroup generation exceeded cap {cap}; "
-                            "expected order 3p"
-                        )
-        frontier = new_layer
-    return elements
+    index = {e.key: 0}
+    classes = [e]
+    edges = []
+    for g in classes:  # grows while it is walked: a BFS queue
+        successors = []
+        for s in gens:
+            h = g * s
+            i = index.get(h.key)
+            if i is None:
+                i = index[h.key] = len(classes)
+                classes.append(h)
+                if len(classes) > cap:
+                    raise CapExceeded(
+                        f"subgroup generation exceeded cap {cap}; expected order 3p"
+                    )
+            successors.append(i)
+        edges.append(tuple(successors))
+    return list(zip(classes, edges))
 
 
 def cayley_table(elements) -> list:
-    """Index-based multiplication table; errors if the list is not closed.
+    """Index-based multiplication table, from generate_subgroup's edges alone.
 
-    A column not yet known when its index is reached is multiplied out and
-    looked up by key; the known columns are then closed under right
-    multiplication by these direct ones, column c = a*b being filled as
-    table[i][c] = table[table[i][a]][b] (exact: the algebra is associative
-    and K* is central).  Every element is thus a product of direct ones and
-    the list is closed under right multiplication by each of them, hence
-    closed.  For a group each direct column at least doubles the known set,
-    so at most log2(n) + 1 columns (3 in BFS order) cost class products.
+    Column j holds the indices of elements[i] * elements[j].  Column 0 (the
+    identity) is the identity permutation; a later element is h * s for its
+    BFS parent h, which comes earlier, and a generator s, so its column is
+    the column of s (the successor indices) composed with the column of h
+    (exact: the algebra is associative and K* is central).  Integer lookups
+    only, no class products.
     """
-    index = {g.key: i for i, g in enumerate(elements)}
     n = len(elements)
-    columns = [None] * n  # columns[j][i]: index of elements[i] * elements[j]
-    direct = []
-    for j, h in enumerate(elements):
-        if columns[j] is not None:
-            continue
-        column = []
-        for g in elements:
-            idx = index.get((g * h).key)
-            if idx is None:
-                raise SbcertError("element list is not closed under multiplication")
-            column.append(idx)
-        columns[j] = column
-        direct.append(column)
-        pending = [a for a in range(n) if columns[a] is not None]
-        while pending:
-            a = pending.pop()
-            col_a = columns[a]
-            for col_b in direct:
-                c = col_b[a]
-                if columns[c] is None:
-                    columns[c] = [col_b[x] for x in col_a]
-                    pending.append(c)
+    gen_columns = list(zip(*(successors for _, successors in elements)))
+    columns = [list(range(n))] + [None] * (n - 1)
+    for h, (_, successors) in enumerate(elements):
+        for gen_column, j in zip(gen_columns, successors):
+            if columns[j] is None:
+                columns[j] = [gen_column[x] for x in columns[h]]
     return [list(row) for row in zip(*columns)]
 
 
@@ -214,7 +197,7 @@ def verify_relations(table, xi: int, al: int, p: int, d: int) -> dict:
     """The three defining relations of the target group, read off the table.
 
     xi and al index the generator classes; the walks follow their columns,
-    which cayley_table multiplies out directly for the breadth-first order.
+    which cayley_table copies from the breadth-first edges.
     The returned booleans let a caller assemble a complete failure
     certificate.
     """
@@ -406,12 +389,9 @@ def group_report(algebra: CyclicAlgebra) -> GroupReport:
     """Generate the group, tabulate it, and read every check off the table."""
     p = algebra.field.p
     d = algebra.field.d
-    xi = xi_hat(algebra)
-    al = alpha_hat(algebra)
-    elements = generate_subgroup([xi, al])
+    elements = generate_subgroup([xi_hat(algebra), alpha_hat(algebra)])
     table = cayley_table(elements)
-    xi_i = elements.index(xi)
-    al_i = elements.index(al)
+    xi_i, al_i = elements[0][1]  # identity * generator is the generator
     orders = table_orders(table, table_identity(table))
     hist = _histogram(orders)
     relations = verify_relations(table, xi_i, al_i, p, d)

@@ -22,13 +22,6 @@ def random_field_elem(field: CycloField, rng) -> FieldElem:
     return field.element([random_rational(rng) for _ in range(field.degree)])
 
 
-def random_nonzero_field_elem(field: CycloField, rng) -> FieldElem:
-    while True:
-        x = random_field_elem(field, rng)
-        if x:
-            return x
-
-
 def random_algebra_elem(algebra: CyclicAlgebra, rng) -> AlgebraElem:
     f = algebra.field
     return AlgebraElem(
@@ -44,16 +37,3 @@ def random_nonzero_algebra_elem(algebra: CyclicAlgebra, rng) -> AlgebraElem:
         x = random_algebra_elem(algebra, rng)
         if x:
             return x
-
-
-def random_k_star_elem(field: CycloField, rng) -> FieldElem:
-    """Nonzero element of the fixed field: a random rational period combination."""
-    periods = field.gaussian_periods()
-    while True:
-        acc = field.zero()
-        for eta in periods:
-            q = random_rational(rng)
-            if q:
-                acc = acc + eta * q
-        if acc:
-            return acc

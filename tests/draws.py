@@ -1,0 +1,24 @@
+"""Test-only random draws that the package itself does not need."""
+
+from sbcert.cyclotomic import CycloField, FieldElem
+from sbcert.sampling import random_field_elem, random_rational
+
+
+def random_nonzero_field_elem(field: CycloField, rng) -> FieldElem:
+    while True:
+        x = random_field_elem(field, rng)
+        if x:
+            return x
+
+
+def random_k_star_elem(field: CycloField, rng) -> FieldElem:
+    """Nonzero element of the fixed field: a random rational period combination."""
+    periods = field.gaussian_periods()
+    while True:
+        acc = field.zero()
+        for eta in periods:
+            q = random_rational(rng)
+            if q:
+                acc = acc + eta * q
+        if acc:
+            return acc

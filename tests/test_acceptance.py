@@ -9,6 +9,7 @@ import random
 import time
 
 import pytest
+from draws import random_k_star_elem
 from oracles import class_eq
 
 from sbcert.algebra import CyclicAlgebra
@@ -20,7 +21,6 @@ from sbcert.projective import canonicalize
 from sbcert.sampling import (
     random_algebra_elem,
     random_field_elem,
-    random_k_star_elem,
     random_nonzero_algebra_elem,
 )
 

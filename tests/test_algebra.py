@@ -4,7 +4,6 @@ import pytest
 from oracles import inverse_via_solve
 
 from sbcert.algebra import CyclicAlgebra
-from sbcert.cyclotomic import make_field
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch
 from sbcert.rationals import Rat
 from sbcert.sampling import (

@@ -2,7 +2,6 @@
 
 import pytest
 
-from sbcert.cyclotomic import make_field
 from sbcert.errors import BadResidue, BoundTooLarge
 from sbcert.obstruction import (
     brute_force_norm_search,
