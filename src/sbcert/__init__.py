@@ -20,6 +20,7 @@ from .certificate import (
 from .cyclotomic import CycloField, FieldElem, is_prime, make_field
 from .errors import (
     BadResidue,
+    BadSearchBound,
     BadTrialCount,
     BoundTooLarge,
     CapExceeded,

@@ -156,7 +156,7 @@ class AlgebraElem:
 
     def __pow__(self, e: int):
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError(f"negative exponent {e}; use inverse()")
         result = self.algebra.one()
         base = self
         while e:

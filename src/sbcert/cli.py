@@ -5,6 +5,7 @@ import sys
 
 from .certificate import certificate_to_json
 from .errors import (
+    BadSearchBound,
     BadTrialCount,
     BoundTooLarge,
     NotPrime,
@@ -56,7 +57,14 @@ def main(argv=None) -> int:
     )
     try:
         cert = run_pipeline(args.p, options)
-    except (BadTrialCount, NotPrime, WrongResidue, RejectedOverride, BoundTooLarge) as exc:
+    except (
+        BadTrialCount,
+        BadSearchBound,
+        NotPrime,
+        WrongResidue,
+        RejectedOverride,
+        BoundTooLarge,
+    ) as exc:
         print(f"sbcert: error: {exc}", file=sys.stderr)
         return 2
 

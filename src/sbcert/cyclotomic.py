@@ -13,7 +13,11 @@ zeta^i -> zeta^(t*i mod p).  The residue d of multiplicative order 3 picks
 out the automorphism s = (zeta -> zeta^d) whose fixed field K has index 3
 in L; Gaussian periods over the cosets of {1, d, d^2} give a Q-basis of K,
 and {1, zeta, zeta^2} is a K-basis of L used to split elements into their
-three K-coordinates.
+three K-coordinates.  The periods are even an integral basis of O_K
+(Hilbert-Speiser), and {1, zeta, zeta^2} is an O_K-basis of
+Z[zeta] = O_K[zeta], so the products eta_i * zeta^j form a Z-basis of
+Z[zeta]: K-coordinates of num / den are integers over the same den, and
+the whole K-layer runs on integers.
 
 All values are immutable and every operation is pure, so everything here
 is safe to share between threads.
@@ -230,20 +234,9 @@ class FieldElem:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, FieldElem):
-            q = as_rat(other)
-            if not q:
-                raise DivisionByZero("division by zero rational")
-            return self._scaled(1 / q)
-        return self * self._check(other).inv()
-
-    def __rtruediv__(self, other):
-        return self._check(other) * self.inv()
-
     def __pow__(self, e: int):
         if e < 0:
-            return self.inv() ** (-e)
+            raise ValueError(f"negative exponent {e}; use inv()")
         result = self.field.one()
         base = self
         while e:
@@ -341,17 +334,11 @@ class FieldElem:
         return self.sigma(1) == self
 
     def decompose_over_K(self):
-        """Split x = k0 + k1*zeta + k2*zeta^2 with each ki in K.
-
-        Solved against the precomputed inverse of the Q-basis matrix
-        {eta_i * zeta^j}; raises SingularBasis if that matrix degenerates
-        (it cannot for prime p >= 7).
-        """
-        sol = k_coordinate_vector(self.field, self)
+        """Split x = k0 + k1*zeta + k2*zeta^2 with each ki in K."""
+        vec = k_coordinate_vector(self.field, self)
         k = self.field.k
         return tuple(
-            k_elem_from_period_coords(self.field, sol[j * k : (j + 1) * k])
-            for j in range(3)
+            _from_period_ints(self.field, vec[j * k : (j + 1) * k], self.den) for j in range(3)
         )
 
 
@@ -386,8 +373,10 @@ def _lincomb(coeffs, vectors, size: int) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _k_basis_inverse(field: CycloField):
-    """Inverse of the basis matrix {eta_i * zeta^j}, as integer rows over one den.
+    """Inverse of the basis matrix {eta_i * zeta^j}, as integer rows.
 
+    The matrix is unimodular because {eta_i * zeta^j} is a Z-basis of
+    Z[zeta] (module docstring); anything else raises SingularBasis.
     Returned transposed (index [input coordinate][unknown]) so decomposition
     is a sparse row accumulation.  Unknown order is (j, i): block j holds
     the period coordinates of the K-component multiplying zeta^j.
@@ -395,42 +384,26 @@ def _k_basis_inverse(field: CycloField):
     n = field.degree
     periods = _gaussian_periods(field)
     cols = [(eta * field.zeta(j)).num for j in range(3) for eta in periods]
-    matrix = [[cols[c][r] for c in range(n)] for r in range(n)]
-    try:
-        inv = linalg.invert(matrix)
-    except linalg.SingularMatrix as exc:  # pragma: no cover - impossible for prime p
-        raise SingularBasis(str(exc)) from exc
-    flat, den = ints_over_den([inv[i][j] for j in range(n) for i in range(n)])
-    return tuple(tuple(flat[j * n : (j + 1) * n]) for j in range(n)), den
-
-
-def _k_coords(field: CycloField, num) -> list:
-    """K-basis coordinates of the integer vector num, times _k_basis_inverse's den."""
-    return _lincomb(num, _k_basis_inverse(field)[0], field.degree)
+    inv, den = linalg.invert([[cols[c][r] for c in range(n)] for r in range(n)])
+    if den != 1:
+        raise SingularBasis(f"the K-basis matrix is not unimodular: its inverse has den {den}")
+    return tuple(zip(*inv))
 
 
 def k_coordinate_vector(field: CycloField, coords) -> tuple:
-    """Coordinates of an element in the basis {eta_i * zeta^j}, blocks by j.
+    """Integer K-coordinates in the basis {eta_i * zeta^j}, blocks by j.
 
-    coords are the element's power-basis coordinates, or the element itself.
+    coords is an element, and the numerators are over its den, or a tuple
+    of power-basis coordinates, and they are over its common denominator.
     """
-    if isinstance(coords, FieldElem):
-        num, den = coords.num, coords.den
-    else:
-        num, den = ints_over_den(coords)
-    den *= _k_basis_inverse(field)[1]
-    return tuple(Rat(c, den) for c in _k_coords(field, num))
+    num = coords.num if isinstance(coords, FieldElem) else ints_over_den(coords)[0]
+    return tuple(_lincomb(num, _k_basis_inverse(field), field.degree))
 
 
 def _from_period_ints(field: CycloField, vec, den: int) -> FieldElem:
     """The fixed-field element sum(vec[i] * eta_i) / den, for integers vec."""
     periods = [eta.num for eta in _gaussian_periods(field)]
     return _reduced(field, _lincomb(vec, periods, field.degree), den)
-
-
-def k_elem_from_period_coords(field: CycloField, vec) -> FieldElem:
-    """The fixed-field element sum(vec[i] * eta_i)."""
-    return _from_period_ints(field, *ints_over_den(vec))
 
 
 @functools.lru_cache(maxsize=None)
@@ -442,30 +415,28 @@ def _period_mult_matrices(field: CycloField):
     """
     k = field.k
     periods = _gaussian_periods(field)
-    den = _k_basis_inverse(field)[1]
     mats = []
     for eta_i in periods:
-        cols = [_k_coords(field, (eta_i * eta_j).num) for eta_j in periods]
-        mats.append(tuple(cols[j][l] // den for l in range(k) for j in range(k)))
+        cols = [k_coordinate_vector(field, eta_i * eta_j) for eta_j in periods]
+        mats.append(tuple(cols[j][l] for l in range(k) for j in range(k)))
     return tuple(mats)
 
 
-def k_inverse_from_period_coords(field: CycloField, vec) -> FieldElem:
-    """Inverse of the fixed-field element with the given period coordinates.
+def k_inverse_from_period_coords(field: CycloField, vec, den: int = 1) -> FieldElem:
+    """Inverse of the fixed-field element sum(vec[i] * eta_i) / den, for integers vec.
 
-    Solves the k x k integer system (mult-by-c) y = 1 by fraction-free
+    Solves the k x k integer system (mult-by-vec) y = 1 by fraction-free
     elimination instead of inverting in L; the small solve is what keeps
     projective canonicalization fast.
     """
     if not any(vec):
         raise DivisionByZero("inverse of zero in the fixed field")
     k = field.k
-    ints, den = ints_over_den(vec)
-    flat = _lincomb(ints, _period_mult_matrices(field), k * k)
+    flat = _lincomb(vec, _period_mult_matrices(field), k * k)
     mc = [flat[l * k : (l + 1) * k] for l in range(k)]
     # the periods sum to zeta + ... + zeta^(p-1) = -1
-    sol, sol_den = ints_over_den(linalg.solve(mc, [-1] * k))
-    # c = ints / den, so 1/c = den * (the inverse of ints)
+    sol, sol_den = linalg.solve(mc, [-1] * k)
+    # c = vec / den, so 1/c = den * (the inverse of vec)
     return _from_period_ints(field, [den * y for y in sol], sol_den)
 
 
@@ -473,5 +444,5 @@ def k_inverse(x: FieldElem) -> FieldElem:
     """Inverse of x, taking the fast period-basis route when x lies in K."""
     if x.is_in_K():
         coords = k_coordinate_vector(x.field, x)
-        return k_inverse_from_period_coords(x.field, coords[: x.field.k])
+        return k_inverse_from_period_coords(x.field, coords[: x.field.k], x.den)
     return x.inv()

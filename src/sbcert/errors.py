@@ -26,7 +26,7 @@ class SingularMatrix(SbcertError):
 
 
 class SingularBasis(SbcertError):
-    """The fixed-field basis matrix failed to invert; internal invariant violation."""
+    """The fixed-field basis matrix is not unimodular; internal invariant violation."""
 
 
 class ParamMismatch(SbcertError):
@@ -55,3 +55,7 @@ class RejectedOverride(SbcertError):
 
 class BadTrialCount(SbcertError):
     """Fewer than one sample requested: a PASS would rest on no evidence."""
+
+
+class BadSearchBound(SbcertError):
+    """A negative norm-search height bound: there is no such search to run."""

@@ -5,10 +5,13 @@ by row and run through one forward fraction-free elimination (Bareiss,
 Math. Comp. 22, 1968; Cohen, A Course in Computational Algebraic Number
 Theory, 2.2), so every intermediate entry is an exact integer minor.  The
 determinant is that elimination alone; solve() and invert() add exact
-integer back-substitution, and rationals appear only in their answers.
+integer back-substitution and answer in the num / den form field elements
+use: integer numerators over one positive denominator, in lowest terms.
 Pivoting always takes the first nonzero candidate, so every result is
 deterministic.
 """
+
+from math import gcd
 
 from .errors import SingularMatrix
 from .rationals import Rat, ints_over_den
@@ -44,11 +47,11 @@ def _bareiss(rows, n):
 
 
 def _solve_ints(rows, n):
-    """Solve A X = B for the integer rows [A | B]; the rows of X as Rat.
+    """Solve A X = B for the integer rows [A | B]; (rows of Y, d) with X = Y / d.
 
     det(A) * X is integral by Cramer's rule, so the back-substitution
     D_i = (det * b_i - sum_{j>i} a_ij D_j) // a_ii of D = det(A) * X
-    divides exactly.
+    divides exactly.  Y / d is D / det in lowest terms with d > 0.
     """
     det = _bareiss(rows, n)
     if not det:
@@ -60,18 +63,22 @@ def _solve_ints(rows, n):
             (det * row[n + c] - sum(row[j] * scaled[j][c] for j in range(i + 1, n))) // row[i]
             for c in range(len(row) - n)
         ]
-    return [[Rat(e, det) for e in row] for row in scaled]
+    g = gcd(det, *(e for row in scaled for e in row))
+    if det < 0:
+        g = -g
+    return [[e // g for e in row] for row in scaled], det // g
 
 
 def solve(matrix, rhs):
-    """Solve matrix @ x = rhs exactly for rationals; raises SingularMatrix."""
+    """Solve matrix @ x = rhs exactly: (y, d) with x = y / d; raises SingularMatrix."""
     # scaling a whole row of [A | b] leaves the solution unchanged
     rows = [ints_over_den([*row, b])[0] for row, b in zip(matrix, rhs)]
-    return [x for (x,) in _solve_ints(rows, len(rows))]
+    sol, den = _solve_ints(rows, len(rows))
+    return [y for (y,) in sol], den
 
 
 def invert(matrix):
-    """Exact inverse of a rational matrix; raises SingularMatrix."""
+    """Exact inverse of a rational matrix: (Y, d) for Y / d; raises SingularMatrix."""
     n = len(matrix)
     rows = []
     for i, row in enumerate(matrix):

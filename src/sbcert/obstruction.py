@@ -46,9 +46,7 @@ def search_candidate_count(field: CycloField, bound: int) -> int:
     return (2 * bound + 1) ** field.degree
 
 
-def brute_force_norm_search(
-    field: CycloField, a, bound: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Optional[FieldElem]:
+def brute_force_norm_search(field: CycloField, a, bound: int) -> Optional[FieldElem]:
     """First element of bounded height whose relative norm equals a, if any.
 
     Enumeration order (fixed so runs are reproducible): coordinate vectors
@@ -58,9 +56,9 @@ def brute_force_norm_search(
     witnessed by c itself.
     """
     total = search_candidate_count(field, bound)
-    if total > cap:
+    if total > DEFAULT_ENUMERATION_CAP:
         raise BoundTooLarge(
-            f"bound {bound} means {total} candidates, above the cap of {cap}"
+            f"bound {bound} means {total} candidates, above the cap of {DEFAULT_ENUMERATION_CAP}"
         )
     target = field.from_rational(a)
     values = [0]
@@ -91,9 +89,7 @@ class ObstructionReport:
         return not self.is_cube and self.witness is None
 
 
-def obstruction_report(
-    field: CycloField, a: int, bound: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ObstructionReport:
+def obstruction_report(field: CycloField, a: int, bound: int) -> ObstructionReport:
     """Run the congruence test and (for bound >= 1) the brute-force search."""
     cubes = tuple(sorted(cubes_mod_p(field.p)))
     cube_flag = is_cube_mod_p(a, field.p)
@@ -101,7 +97,7 @@ def obstruction_report(
     performed = bound >= 1
     candidates = search_candidate_count(field, bound) if performed else 0
     if performed:
-        witness = brute_force_norm_search(field, a, bound, cap)
+        witness = brute_force_norm_search(field, a, bound)
     return ObstructionReport(
         p=field.p,
         a=a,

@@ -6,8 +6,8 @@ exercise the algebra's defining relations, norm forms and division
 property on seeded random samples; generate the projective group and
 verify order, relations, isomorphism and the Jordan index.  Any failed
 check yields a complete FAIL certificate naming the stage; invalid inputs
-raise instead (BadTrialCount, NotPrime, WrongResidue, RejectedOverride,
-BoundTooLarge).
+raise instead (BadTrialCount, BadSearchBound, NotPrime, WrongResidue,
+RejectedOverride, BoundTooLarge).
 """
 
 import random
@@ -18,7 +18,7 @@ from typing import Optional
 from .algebra import CyclicAlgebra
 from .certificate import SCHEMA_VERSION, Certificate
 from .cyclotomic import make_field
-from .errors import BadTrialCount, NotInvertible, RejectedOverride
+from .errors import BadSearchBound, BadTrialCount, NotInvertible, RejectedOverride
 from .obstruction import choose_a, is_cube_mod_p, obstruction_report
 from .projective import group_report
 from .sampling import random_algebra_elem, random_field_elem, random_nonzero_algebra_elem
@@ -153,6 +153,10 @@ def run_pipeline(p: int, options: Optional[PipelineOptions] = None) -> Certifica
     if opts.trials < 1:
         raise BadTrialCount(
             f"trials = {opts.trials}; the randomized checks need at least one sample"
+        )
+    if opts.norm_search_bound is not None and opts.norm_search_bound < 0:
+        raise BadSearchBound(
+            f"norm search bound = {opts.norm_search_bound}; use 0 to skip the search"
         )
     timings = {}
     t_start = time.perf_counter()

@@ -79,7 +79,7 @@ def canonicalize(x: AlgebraElem) -> ProjClass:
             for j in range(3):
                 block = vec[j * k : (j + 1) * k]
                 if any(block):
-                    scale = k_inverse_from_period_coords(field, block)
+                    scale = k_inverse_from_period_coords(field, block, comp.den)
                     return ProjClass(x.scale(scale))
     raise AssertionError("unreachable: nonzero element with zero K-coordinates")
 

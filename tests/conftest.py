@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from sbcert.algebra import CyclicAlgebra
 from sbcert.cyclotomic import make_field
+from sbcert.pipeline import run_pipeline
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +21,14 @@ def field13():
 @pytest.fixture(scope="session")
 def alg7(field7):
     return CyclicAlgebra(field7, 2)
+
+
+@pytest.fixture(scope="session")
+def timed_cert31():
+    """The default p = 31 certificate and its run time; one run serves every test."""
+    start = time.monotonic()
+    cert = run_pipeline(31)
+    return cert, time.monotonic() - start
 
 
 @pytest.fixture

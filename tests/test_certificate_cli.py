@@ -8,7 +8,13 @@ import sbcert.algebra as algebra_module
 import sbcert.cli as cli
 import sbcert.pipeline as pipeline
 from sbcert.certificate import certificate_to_dict, certificate_to_json, _int_field
-from sbcert.errors import BadTrialCount, NotPrime, RejectedOverride, WrongResidue
+from sbcert.errors import (
+    BadSearchBound,
+    BadTrialCount,
+    NotPrime,
+    RejectedOverride,
+    WrongResidue,
+)
 from sbcert.pipeline import PipelineOptions, run_pipeline
 
 FAST = PipelineOptions(trials=10, norm_search_bound=0)
@@ -49,6 +55,12 @@ def test_pipeline_rejects_cube_override():
 def test_pipeline_rejects_trials_below_one(trials):
     with pytest.raises(BadTrialCount):
         run_pipeline(7, PipelineOptions(trials=trials, norm_search_bound=0))
+
+
+@pytest.mark.parametrize("bound", [-1, -2])
+def test_pipeline_rejects_negative_search_bound(bound):
+    with pytest.raises(BadSearchBound):
+        run_pipeline(7, PipelineOptions(trials=1, norm_search_bound=bound))
 
 
 def test_pipeline_accepts_non_cube_override():
@@ -182,6 +194,14 @@ def test_cli_rejects_trials_below_one(trials, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("sbcert: error: trials = ")
+
+
+@pytest.mark.parametrize("bound", ["-1", "-2"])
+def test_cli_rejects_negative_search_bound(bound, capsys):
+    assert cli.main(["--p", "7", "--norm-search-bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sbcert: error: norm search bound = ")
 
 
 def test_cli_usage_error():

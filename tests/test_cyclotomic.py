@@ -1,12 +1,19 @@
 """Cyclotomic field arithmetic against independent schoolbook oracles."""
 
 import pytest
-from draws import random_nonzero_field_elem
+from draws import random_k_star_elem, random_nonzero_field_elem
 from oracles import rank
 
+import sbcert.cyclotomic as cyclotomic
 from sbcert import linalg
-from sbcert.cyclotomic import make_field
-from sbcert.errors import BadResidue, DivisionByZero, NotPrime, WrongResidue
+from sbcert.cyclotomic import is_prime, k_coordinate_vector, k_inverse, make_field
+from sbcert.errors import (
+    BadResidue,
+    DivisionByZero,
+    NotPrime,
+    SingularBasis,
+    WrongResidue,
+)
 from sbcert.rationals import Rat
 from sbcert.sampling import random_field_elem
 
@@ -38,7 +45,8 @@ def _inv_linear_solve(x):
     cols = [(x * field.zeta(e)).coords for e in range(n)]
     matrix = [[cols[c][r] for c in range(n)] for r in range(n)]
     rhs = [Rat(1)] + [Rat(0)] * (n - 1)
-    return field.element(linalg.solve(matrix, rhs))
+    sol, den = linalg.solve(matrix, rhs)
+    return field.element([Rat(y, den) for y in sol])
 
 
 def test_make_field_examples():
@@ -164,13 +172,6 @@ def test_norm_values(field7, field13, rng):
             assert x.norm() == linalg.det_rational(cols)
 
 
-def test_division_operator(field7, rng):
-    x = random_nonzero_field_elem(field7, rng)
-    y = random_nonzero_field_elem(field7, rng)
-    assert (x / y) * y == x
-    assert x / x == field7.one()
-
-
 def test_apply_aut_identity_and_generator(field7, rng):
     x = random_field_elem(field7, rng)
     assert x.apply_aut(1) == x
@@ -270,6 +271,56 @@ def test_decompose_roundtrip(field7, field13, rng):
             k0, k1, k2 = x.decompose_over_K()
             assert all(part.is_in_K() for part in (k0, k1, k2))
             assert k0 + k1 * z + k2 * z * z == x
+
+
+def test_k_coordinates_are_integers_over_the_den(field7, field13, rng):
+    for field in (field7, field13):
+        k = field.k
+        periods = field.gaussian_periods()
+        z = field.xi()
+        for _ in range(25):
+            x = random_field_elem(field, rng)
+            vec = k_coordinate_vector(field, x)
+            assert all(type(c) is int for c in vec)
+            assert k_coordinate_vector(field, x.coords) == vec
+            parts = [
+                sum((eta * c for eta, c in zip(periods, vec[j * k : (j + 1) * k])), field.zero())
+                for j in range(3)
+            ]
+            assert (parts[0] + parts[1] * z + parts[2] * z * z) * Rat(1, x.den) == x
+
+
+def test_k_basis_is_unimodular_up_to_103():
+    # {eta_i * zeta^j} is a Z-basis of Z[zeta]: the inverse is integral
+    for p in (p for p in range(7, 104) if p % 3 == 1 and is_prime(p)):
+        field = make_field(p)
+        inv = cyclotomic._k_basis_inverse(field)
+        assert all(type(c) is int for row in inv for c in row)
+        # each basis vector has a unit coordinate vector
+        basis = [eta * field.zeta(j) for j in range(3) for eta in field.gaussian_periods()]
+        for c, b in enumerate(basis):
+            assert k_coordinate_vector(field, b) == tuple(int(i == c) for i in range(p - 1))
+
+
+def test_k_basis_inverse_rejects_a_non_unimodular_basis(field7, monkeypatch):
+    doubled = tuple(2 * eta for eta in field7.gaussian_periods())
+    monkeypatch.setattr(cyclotomic, "_gaussian_periods", lambda field: doubled)
+    with pytest.raises(SingularBasis):
+        cyclotomic._k_basis_inverse.__wrapped__(field7)
+
+
+def test_k_inverse_of_fixed_field_elements(field7, field13, rng):
+    for field in (field7, field13):
+        for _ in range(25):
+            c = random_k_star_elem(field, rng)
+            assert k_inverse(c) * c == field.one()
+
+
+def test_negative_exponent_rejected(field7, alg7):
+    with pytest.raises(ValueError):
+        field7.xi() ** -1
+    with pytest.raises(ValueError):
+        alg7.alpha() ** -1
 
 
 def test_element_equality_and_hash(field7):

@@ -26,10 +26,15 @@ def _det_cofactor(m):
     return total
 
 
+def _over(ints, den):
+    """The rationals ints / den, for checking an integer answer."""
+    return [Rat(y, den) for y in ints]
+
+
 def test_solve_known_system():
     m = [[Rat(2), Rat(1)], [Rat(1), Rat(3)]]
     sol = linalg.solve(m, [Rat(5), Rat(10)])
-    assert sol == [Rat(1), Rat(3)]
+    assert sol == ([1, 3], 1)
 
 
 def test_solve_random_systems():
@@ -42,7 +47,7 @@ def test_solve_random_systems():
                 with pytest.raises(SingularMatrix):
                     linalg.solve(m, b)
                 continue
-            x = linalg.solve(m, b)
+            x = _over(*linalg.solve(m, b))
             assert [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)] == b
 
 
@@ -57,7 +62,8 @@ def test_invert_roundtrip():
     m = _rand_matrix(rng, 5)
     while linalg.det_rational(m) == 0:
         m = _rand_matrix(rng, 5)
-    inv = linalg.invert(m)
+    rows, den = linalg.invert(m)
+    inv = [_over(row, den) for row in rows]
     n = len(m)
     prod = [
         [sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)
@@ -88,7 +94,7 @@ def test_zero_leading_pivot_swaps_rows():
     assert linalg.det_rational([[0, 1], [1, 0]]) == -1
     m = [[0, 2, 1], [3, 1, 0], [1, 0, 1]]
     assert linalg.det_rational(m) == _det_cofactor([[Rat(e) for e in row] for row in m])
-    assert linalg.solve(m, [3, 4, 2]) == [Rat(1), Rat(1), Rat(1)]
+    assert linalg.solve(m, [3, 4, 2]) == ([1, 1, 1], 1)
 
 
 def test_singular_only_at_last_pivot():
@@ -108,14 +114,15 @@ def test_solve_int_input_matches_rat_input():
         while linalg.det_rational(m) == 0:
             m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        x = linalg.solve(m, b)
-        assert all(isinstance(v, Rat) for v in x)
-        assert x == linalg.solve([[Rat(e) for e in row] for row in m], [Rat(e) for e in b])
+        y, den = linalg.solve(m, b)
+        assert all(type(v) is int for v in y) and type(den) is int
+        assert (y, den) == linalg.solve([[Rat(e) for e in row] for row in m], [Rat(e) for e in b])
 
 
 def test_invert_with_row_swaps():
     m = [[0, 1, 2], [0, 3, 4], [Rat(1, 2), 5, 6]]
-    inv = linalg.invert(m)
+    rows, den = linalg.invert(m)
+    inv = [_over(row, den) for row in rows]
     n = len(m)
     assert [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
         [int(i == j) for j in range(n)] for i in range(n)
@@ -124,3 +131,16 @@ def test_invert_with_row_swaps():
 
 def test_det_of_empty_matrix():
     assert linalg.det_rational([]) == 1
+
+
+def test_answers_are_ints_over_a_positive_den():
+    m = [[1, 2], [3, 4]]  # det = -2
+    assert linalg.det_rational(m) == -2
+    y, den = linalg.solve(m, [1, 0])
+    assert (y, den) == ([-4, 3], 2)
+    rows, den = linalg.invert(m)
+    assert (rows, den) == ([[-4, 2], [3, -1]], 2)
+    assert all(type(v) is int for v in [den, *y, *rows[0], *rows[1]])
+    # lowest terms: the answer to 2 m x = 2 b is the same pair
+    assert linalg.solve([[2, 4], [6, 8]], [2, 0]) == ([-4, 3], 2)
+    assert linalg.solve([[0, 1], [1, 0]], [3, 4]) == ([4, 3], 1)

@@ -1,12 +1,14 @@
 """Projective classes, group generation, isomorphism, Jordan index."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from draws import random_k_star_elem
 from oracles import class_eq
 
+import sbcert.cyclotomic as cyclotomic
 import sbcert.projective as projective
 from sbcert.algebra import CyclicAlgebra
 from sbcert.certificate import _group_dict
@@ -79,7 +81,8 @@ def _first_k_coordinate_is_one(x):
             for j in range(3):
                 block = vec[j * k : (j + 1) * k]
                 if any(block):
-                    return block == one_coords
+                    # the numerators are over comp.den
+                    return block == tuple(comp.den * c for c in one_coords)
     return False
 
 
@@ -95,6 +98,30 @@ def test_canonicalize_constant_on_K_star_orbits(alg7, field7, rng):
         x = random_nonzero_algebra_elem(alg7, rng)
         c = random_k_star_elem(field7, rng)
         assert canonicalize(x.scale(c)) == canonicalize(x)
+
+
+def test_canonicalize_builds_no_fraction(monkeypatch, rng):
+    # K-coordinates and the period solve stay integers over one denominator
+    algebra = _algebra(13)
+    xs = [random_nonzero_algebra_elem(algebra, rng) for _ in range(20)]
+    canonicalize(xs[0])  # warm the field's caches outside the count
+    counts = {"Fraction": 0, "ints_over_den": 0}
+    real_new, real_ints = Fraction.__new__, cyclotomic.ints_over_den
+
+    def counting_new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def counting_ints(values):
+        counts["ints_over_den"] += 1
+        return real_ints(values)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(cyclotomic, "ints_over_den", counting_ints)
+    reps = [canonicalize(x) for x in xs]
+    monkeypatch.undo()
+    assert counts == {"Fraction": 0, "ints_over_den": 0}
+    assert all(_first_k_coordinate_is_one(c.rep) for c in reps)
 
 
 def test_canonicalize_detects_xi_scaling(alg7, field7, rng):
