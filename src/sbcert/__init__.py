@@ -19,6 +19,7 @@ from .certificate import (
 )
 from .cyclotomic import CycloField, FieldElem, is_prime, make_field
 from .errors import (
+    BadInput,
     BadResidue,
     BadSearchBound,
     BadTrialCount,

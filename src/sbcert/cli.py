@@ -4,14 +4,7 @@ import argparse
 import sys
 
 from .certificate import certificate_to_json
-from .errors import (
-    BadSearchBound,
-    BadTrialCount,
-    BoundTooLarge,
-    NotPrime,
-    RejectedOverride,
-    WrongResidue,
-)
+from .errors import BadInput
 from .pipeline import PipelineOptions, run_pipeline
 
 
@@ -57,21 +50,18 @@ def main(argv=None) -> int:
     )
     try:
         cert = run_pipeline(args.p, options)
-    except (
-        BadTrialCount,
-        BadSearchBound,
-        NotPrime,
-        WrongResidue,
-        RejectedOverride,
-        BoundTooLarge,
-    ) as exc:
+    except BadInput as exc:
         print(f"sbcert: error: {exc}", file=sys.stderr)
         return 2
 
     payload = certificate_to_json(cert) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"sbcert: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     if not args.quiet:

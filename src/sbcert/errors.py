@@ -5,11 +5,15 @@ class SbcertError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class NotPrime(SbcertError):
+class BadInput(SbcertError):
+    """A value the user supplied is out of range; the CLI exits 2 on every one."""
+
+
+class NotPrime(BadInput):
     pass
 
 
-class WrongResidue(SbcertError):
+class WrongResidue(BadInput):
     pass
 
 
@@ -45,17 +49,17 @@ class CapExceeded(SbcertError):
     pass
 
 
-class BoundTooLarge(SbcertError):
+class BoundTooLarge(BadInput):
     pass
 
 
-class RejectedOverride(SbcertError):
+class RejectedOverride(BadInput):
     pass
 
 
-class BadTrialCount(SbcertError):
+class BadTrialCount(BadInput):
     """Fewer than one sample requested: a PASS would rest on no evidence."""
 
 
-class BadSearchBound(SbcertError):
+class BadSearchBound(BadInput):
     """A negative norm-search height bound: there is no such search to run."""

@@ -3,16 +3,16 @@
 Stages: validate p and build the field; choose or validate the parameter
 a; run the cube-residue obstruction (plus optional brute-force search);
 exercise the algebra's defining relations, norm forms and division
-property on seeded random samples; generate the projective group and
-verify order, relations, isomorphism and the Jordan index.  Any failed
-check yields a complete FAIL certificate naming the stage; invalid inputs
-raise instead (BadTrialCount, BadSearchBound, NotPrime, WrongResidue,
-RejectedOverride, BoundTooLarge).
+property on seeded random samples, every trial block through one runner;
+generate the projective group and verify order, relations, isomorphism
+and the Jordan index.  Any failed check yields a complete FAIL certificate
+naming the stage; invalid inputs raise a BadInput error instead.
 """
 
 import random
 import time
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import Optional
 
 from .algebra import CyclicAlgebra
@@ -49,10 +49,6 @@ def _validate_override(p: int, a: int) -> int:
     return a
 
 
-def _trial_block(trials: int, failures: int) -> dict:
-    return {"trials": trials, "failures": failures, "ok": failures == 0}
-
-
 def _mat_mul(field, lhs, rhs):
     return tuple(
         tuple(
@@ -63,88 +59,66 @@ def _mat_mul(field, lhs, rhs):
     )
 
 
+def _trials(n: int, draw, arity: int, holds) -> dict:
+    """Run holds on n fresh tuples of arity draws; each sample it refuses is a failure."""
+    failures = sum(not holds(*[draw() for _ in range(arity)]) for _ in range(n))
+    return {"trials": n, "failures": failures, "ok": failures == 0}
+
+
+def _invertible(x) -> bool:
+    """inverse() raises unless Nrd(x) != 0 and both products with x are one."""
+    try:
+        x.inverse()
+    except NotInvertible:
+        return False
+    return True
+
+
 def run_algebra_checks(algebra: CyclicAlgebra, seed: int, trials: int) -> dict:
     """Seeded randomized verification of the algebra's contracts."""
     rng = random.Random(seed)
-    f = algebra.field
-    al = algebra.alpha()
-    out = {"seed": seed, "division_certified": algebra.division_certified}
-
-    failures = 0
-    for _ in range(trials):
-        lam = random_field_elem(f, rng)
-        if algebra.embed(lam) * al != al * algebra.embed(lam.sigma(1)):
-            failures += 1
-    out["relation_lambda_alpha"] = _trial_block(trials, failures)
-
-    out["alpha_cubed_equals_a"] = al**3 == algebra.embed(algebra.a)
+    f, al, embed = algebra.field, algebra.alpha(), algebra.embed
     xi = f.xi()
-    out["xi_alpha_twist"] = algebra.embed(xi) * al == al * algebra.embed(xi**f.d)
+    split, nrd = methodcaller("splitting_matrix"), methodcaller("reduced_norm")
 
-    failures = 0
-    for _ in range(trials):
-        x = random_algebra_elem(algebra, rng)
-        y = random_algebra_elem(algebra, rng)
-        z = random_algebra_elem(algebra, rng)
-        if (x * y) * z != x * (y * z):
-            failures += 1
-    out["associativity"] = _trial_block(trials, failures)
+    # the blocks draw in key order; each closure looks its sampler up at the draw
+    def lam():
+        return random_field_elem(f, rng)
 
-    failures = 0
-    for _ in range(trials):
-        x = random_algebra_elem(algebra, rng)
-        y = random_algebra_elem(algebra, rng)
-        if _mat_mul(f, x.splitting_matrix(), y.splitting_matrix()) != (
-            x * y
-        ).splitting_matrix():
-            failures += 1
-    out["splitting_multiplicativity"] = _trial_block(trials, failures)
+    def elem():
+        return random_algebra_elem(algebra, rng)
 
-    failures = 0
-    for _ in range(trials):
-        x = random_algebra_elem(algebra, rng)
-        if not x.reduced_norm().is_in_K():
-            failures += 1
-    out["reduced_norm_in_fixed_field"] = _trial_block(trials, failures)
+    def nonzero():
+        return random_nonzero_algebra_elem(algebra, rng)
 
-    failures = 0
-    for _ in range(trials):
-        x = random_algebra_elem(algebra, rng)
-        y = random_algebra_elem(algebra, rng)
-        if (x * y).reduced_norm() != x.reduced_norm() * y.reduced_norm():
-            failures += 1
-    out["reduced_norm_multiplicativity"] = _trial_block(trials, failures)
-
-    # the division property gets double sampling: it is the Wedderburn step;
-    # inverse() raises unless Nrd(x) != 0 and both products with x are one
-    division_trials = 2 * trials
-    failures = 0
-    for _ in range(division_trials):
-        x = random_nonzero_algebra_elem(algebra, rng)
-        try:
-            x.inverse()
-        except NotInvertible:
-            failures += 1
-    out["division_property"] = _trial_block(division_trials, failures)
-
-    # exact identity det_Q(L_x) = N_{L/Q}(Nrd x) = N_{K/Q}(Nrd x)^3
-    failures = 0
-    for _ in range(trials):
-        x = random_algebra_elem(algebra, rng)
-        if x.regular_rep_det() != x.reduced_norm().norm():
-            failures += 1
-    out["norm_oracle_agreement"] = _trial_block(trials, failures)
-    return out
+    return {
+        "seed": seed,
+        "division_certified": algebra.division_certified,
+        "relation_lambda_alpha": _trials(
+            trials, lam, 1, lambda y: embed(y) * al == al * embed(y.sigma(1))
+        ),
+        "alpha_cubed_equals_a": al**3 == embed(algebra.a),
+        "xi_alpha_twist": embed(xi) * al == al * embed(xi**f.d),
+        "associativity": _trials(trials, elem, 3, lambda x, y, z: (x * y) * z == x * (y * z)),
+        "splitting_multiplicativity": _trials(
+            trials, elem, 2, lambda x, y: _mat_mul(f, split(x), split(y)) == split(x * y)
+        ),
+        "reduced_norm_in_fixed_field": _trials(trials, elem, 1, lambda x: nrd(x).is_in_K()),
+        "reduced_norm_multiplicativity": _trials(
+            trials, elem, 2, lambda x, y: nrd(x * y) == nrd(x) * nrd(y)
+        ),
+        # double sampling: the division property is the Wedderburn step
+        "division_property": _trials(2 * trials, nonzero, 1, _invertible),
+        # exact identity det_Q(L_x) = N_{L/Q}(Nrd x) = N_{K/Q}(Nrd x)^3
+        "norm_oracle_agreement": _trials(
+            trials, elem, 1, lambda x: x.regular_rep_det() == nrd(x).norm()
+        ),
+    }
 
 
 def _algebra_checks_ok(checks: dict) -> bool:
-    for value in checks.values():
-        if isinstance(value, dict):
-            if not value.get("ok", True):
-                return False
-        elif isinstance(value, bool) and not value:
-            return False
-    return True
+    # a trial block fails on ok = False, a flag on False; the seed never fails
+    return all(v["ok"] if isinstance(v, dict) else v is not False for v in checks.values())
 
 
 def run_pipeline(p: int, options: Optional[PipelineOptions] = None) -> Certificate:

@@ -1,7 +1,12 @@
 """Test-only random draws that the package itself does not need."""
 
 from sbcert.cyclotomic import CycloField, FieldElem
-from sbcert.sampling import random_field_elem, random_rational
+from sbcert.rationals import Rat
+from sbcert.sampling import DENOMINATORS, NUMERATOR_RANGE, random_field_elem
+
+
+def random_rational(rng) -> Rat:
+    return Rat(rng.randint(*NUMERATOR_RANGE), rng.choice(DENOMINATORS))
 
 
 def random_nonzero_field_elem(field: CycloField, rng) -> FieldElem:

@@ -1,9 +1,12 @@
 """Cyclic algebra: defining relations, norm forms, division evidence."""
 
+from fractions import Fraction
+
 import pytest
 from oracles import inverse_via_solve
 
 from sbcert.algebra import CyclicAlgebra
+from sbcert.cyclotomic import make_field
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch
 from sbcert.rationals import Rat
 from sbcert.sampling import (
@@ -199,3 +202,21 @@ def test_center_spot_checks(alg7, field7, rng):
         x = random_algebra_elem(alg7, rng)
         if x * al == al * x and x * xi_emb == xi_emb * x:
             assert not x.x1 and not x.x2 and x.x0.is_in_K()
+
+
+def test_random_algebra_elem_builds_no_fraction(monkeypatch, rng):
+    # coordinates are drawn as integer numerators over one common denominator
+    algebra = CyclicAlgebra(make_field(13), 2)
+    count = 0
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    xs = [random_algebra_elem(algebra, rng) for _ in range(20)]
+    monkeypatch.undo()
+    assert count == 0
+    assert any(c.den != 1 for x in xs for c in x.components)

@@ -7,10 +7,14 @@ import pytest
 import sbcert.algebra as algebra_module
 import sbcert.cli as cli
 import sbcert.pipeline as pipeline
+from sbcert.algebra import CyclicAlgebra
 from sbcert.certificate import certificate_to_dict, certificate_to_json, _int_field
+from sbcert.cyclotomic import make_field
 from sbcert.errors import (
+    BadInput,
     BadSearchBound,
     BadTrialCount,
+    BoundTooLarge,
     NotPrime,
     RejectedOverride,
     WrongResidue,
@@ -68,6 +72,40 @@ def test_pipeline_accepts_non_cube_override():
     assert cert.passed and cert.a == 9
     negative = run_pipeline(7, PipelineOptions(a=-5, trials=5, norm_search_bound=0))
     assert negative.passed and negative.a == -5
+
+
+@pytest.mark.parametrize(
+    "error",
+    [BadTrialCount, BadSearchBound, NotPrime, WrongResidue, RejectedOverride, BoundTooLarge],
+)
+def test_input_errors_share_one_base(error):
+    # the CLI maps BadInput to exit 2, so every input error has to be one
+    assert issubclass(error, BadInput)
+
+
+PASSING_CHECKS = {
+    "seed": 0,
+    "division_certified": True,
+    "alpha_cubed_equals_a": True,
+    "associativity": {"trials": 2, "failures": 0, "ok": True},
+}
+
+
+@pytest.mark.parametrize(
+    "make_checks, ok",
+    [
+        (lambda: PASSING_CHECKS, True),
+        (
+            lambda: {**PASSING_CHECKS, "associativity": {"trials": 2, "failures": 1, "ok": False}},
+            False,
+        ),
+        # the cube parameter a = 1: division_certified is False, as in perfbench's control
+        (lambda: pipeline.run_algebra_checks(CyclicAlgebra(make_field(7), 1), 0, 1), False),
+    ],
+    ids=["seed-zero-passes", "failed-block", "cube-parameter"],
+)
+def test_algebra_checks_verdict(make_checks, ok):
+    assert pipeline._algebra_checks_ok(make_checks()) is ok
 
 
 def test_cli_oversized_search_bound_rejected(capsys):
@@ -170,6 +208,17 @@ def test_cli_pass(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "PASS" in captured.err
     assert captured.out == ""
+
+
+def test_cli_unwritable_out_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "c.json"
+    code = cli.main(["--p", "7", "--trials", "1", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sbcert: error: cannot write ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_cli_stdout_and_quiet(capsys):

@@ -3,14 +3,21 @@
 The files hold certificate_to_json(run_pipeline(p), include_timings=False)
 for the default options; any change to the arithmetic that alters a
 certificate shows here.  The p = 31 run is shared with the acceptance
-suite through the timed_cert31 fixture, so it runs once.
+suite through the timed_cert31 fixture, so it runs once.  The algebra
+stage's random sample stream is pinned draw by draw as well, so a check
+that moves a draw or a sampler that changes a value shows even where the
+certificate's pass/fail counts would not.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+import sbcert.pipeline as pipeline
 from sbcert import certificate_to_json, run_pipeline
+from sbcert.algebra import CyclicAlgebra
+from sbcert.cyclotomic import make_field
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -24,3 +31,33 @@ def test_certificate_matches_golden(p):
 def test_certificate_p31_matches_golden(timed_cert31):
     expected = (GOLDEN / "cert_p31.json").read_text()
     assert certificate_to_json(timed_cert31[0], include_timings=False) + "\n" == expected
+
+
+SAMPLERS = ("random_field_elem", "random_algebra_elem", "random_nonzero_algebra_elem")
+
+
+def record_algebra_draws(monkeypatch, p, a, seed, trials):
+    """Every draw run_algebra_checks makes: its sampler and each component's num and den."""
+    draws = []
+
+    def recording(name, real):
+        def draw(*args):
+            x = real(*args)
+            parts = (x,) if name == "random_field_elem" else x.components
+            draws.append(
+                {"sampler": name, "components": [{"num": list(c.num), "den": c.den} for c in parts]}
+            )
+            return x
+
+        return draw
+
+    for name in SAMPLERS:
+        monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
+    pipeline.run_algebra_checks(CyclicAlgebra(make_field(p), a), seed, trials)
+    monkeypatch.undo()
+    return draws
+
+
+def test_algebra_draws_match_golden(monkeypatch):
+    expected = json.loads((GOLDEN / "algebra_draws_p7.json").read_text())
+    assert record_algebra_draws(monkeypatch, 7, 2, 0, 2) == expected
