@@ -17,7 +17,9 @@ The splitting matrix M(x) encodes right multiplication on the left-L basis
 determinant is the reduced norm Nrd(x), and the first row of its adjugate
 over Nrd(x) is x^-1.  Left multiplication on A as a Q-space of dimension
 3(p-1) has determinant N_{K/Q}(Nrd x)^3, an exact identity the pipeline
-checks against the norm of L.
+checks against the norm of L.  Its matrix is built by index shifts: the
+image of zeta^e alpha^c is each x_i rotated by a power of zeta (times a
+where alpha wraps), so the check forms no algebra product.
 """
 
 from math import lcm
@@ -239,26 +241,49 @@ class AlgebraElem:
             raise NotInvertible("cofactor route produced a one-sided inverse")
         return inv
 
+    def regular_rep_rows(self):
+        """Integer rows of left multiplication by x on A over Q, and their denominator.
+
+        Row (c, e) holds the coordinates of x * zeta^e alpha^c (component
+        index times the power basis of L).  Moving alpha^i past zeta^e
+        applies s^-i, so the image is sum_i x_i * zeta^(e * d^-i) * alpha^(i+c),
+        with alpha^(i+c) = a * alpha^(i+c-3) when i + c >= 3: each block is a
+        rotation of num + (0,) less its top slot, as in apply_aut, and no
+        algebra product is formed.
+        """
+        field, a = self.algebra.field, self.algebra.a
+        p, n = field.p, field.degree
+        dx = lcm(self.x0.den, self.x1.den, self.x2.den)
+        # over the denominator dx * a.denominator, a block that wraps past
+        # alpha^2 carries a.numerator and the others a.denominator
+        scales = (a.denominator, a.numerator)
+        blocks = [
+            [[c * (dx // z.den) * s for c in z.num + (0,)] for s in scales]
+            for z in self.components
+        ]
+        d_inv = pow(field.d, -1, p)
+        rows = []
+        for c in range(3):
+            for e in range(n):
+                row = []
+                for j in range(3):
+                    i = (j - c) % 3
+                    v = blocks[i][i + c >= 3]
+                    m = e * pow(d_inv, i, p) % p
+                    # times zeta^m: slot k takes v[k - m] (indices wrap mod p)
+                    top = v[n - m]
+                    row.extend([v[k - m] - top for k in range(n)])
+                rows.append(row)
+        return rows, dx * a.denominator
+
     def regular_rep_det(self) -> Rat:
         """Exact determinant of left multiplication by x on A as a Q-space.
 
-        The space has dimension 3(p-1): component index times the power
-        basis of L.  An independent witness for the reduced norm through
-        the exact identity det_Q(L_x) = N_{L/Q}(Nrd x) = N_{K/Q}(Nrd x)^3.
+        The space has dimension 3(p-1); the matrix is regular_rep_rows()
+        (its rows are the images of the basis, and a matrix and its
+        transpose share the determinant).  An independent witness for the
+        reduced norm through the exact identity
+        det_Q(L_x) = N_{L/Q}(Nrd x) = N_{K/Q}(Nrd x)^3.
         """
-        field = self.algebra.field
-        n = field.degree
-        cols = []
-        scale = 1
-        for comp in range(3):
-            for e in range(n):
-                basis_vec = [field.zero()] * 3
-                basis_vec[comp] = field.zeta(e)
-                prod = self * AlgebraElem(self.algebra, *basis_vec)
-                parts = (prod.x0, prod.x1, prod.x2)
-                # integer column: the three components over one denominator
-                den = lcm(*(z.den for z in parts))
-                scale *= den
-                cols.append([c * (den // z.den) for z in parts for c in z.num])
-        # the columns serve as rows: a matrix and its transpose share the determinant
-        return linalg.det_rational(cols) / scale
+        rows, den = self.regular_rep_rows()
+        return linalg.det_rational(rows) / den ** len(rows)

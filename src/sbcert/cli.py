@@ -4,7 +4,7 @@ import argparse
 import sys
 
 from .certificate import certificate_to_json
-from .errors import BadInput
+from .errors import BadInput, SbcertError
 from .pipeline import PipelineOptions, run_pipeline
 
 
@@ -53,6 +53,11 @@ def main(argv=None) -> int:
     except BadInput as exc:
         print(f"sbcert: error: {exc}", file=sys.stderr)
         return 2
+    except SbcertError as exc:
+        # a stage's own invariant broke: neither a FAIL (1) nor bad input (2)
+        name = type(exc).__name__
+        print(f"sbcert: error: internal check raised {name}: {exc}", file=sys.stderr)
+        return 3
 
     payload = certificate_to_json(cert) + "\n"
     if args.out:

@@ -34,5 +34,7 @@ def rat_str(q) -> str:
 def ints_over_den(values):
     """Python integers and one positive denominator d with values = ints / d."""
     qs = [v if isinstance(v, int) else as_rat(v) for v in values]
-    den = lcm(*(q.denominator for q in qs))
+    # a list, not a generator: a tuple unpacked from a generator is built by
+    # resizing, and CPython's free lists then hoard up to 2000 short tuples
+    den = lcm(*[q.denominator for q in qs])
     return [q.numerator * (den // q.denominator) for q in qs], den

@@ -4,6 +4,24 @@ from sbcert.algebra import AlgebraElem
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch, ZeroElement
 
 
+def regular_rep_rows_by_products(x: AlgebraElem) -> list:
+    """Rational rows of left multiplication by x on A over Q, one product per row.
+
+    Row (c, e) holds the coordinates of x * zeta^e alpha^c, formed as an
+    algebra product; AlgebraElem.regular_rep_rows() builds the same rows by
+    index shifts.
+    """
+    field = x.algebra.field
+    rows = []
+    for comp in range(3):
+        for e in range(field.degree):
+            basis_vec = [field.zero()] * 3
+            basis_vec[comp] = field.zeta(e)
+            prod = x * AlgebraElem(x.algebra, *basis_vec)
+            rows.append([c for z in prod.components for c in z.coords])
+    return rows
+
+
 def inverse_via_solve(x: AlgebraElem) -> AlgebraElem:
     """Two-sided inverse by 3x3 Gauss-Jordan elimination over L.
 

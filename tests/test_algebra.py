@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import inverse_via_solve
 
-from sbcert.algebra import CyclicAlgebra
+from sbcert.algebra import AlgebraElem, CyclicAlgebra
 from sbcert.cyclotomic import make_field
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch
 from sbcert.rationals import Rat
@@ -220,3 +220,13 @@ def test_random_algebra_elem_builds_no_fraction(monkeypatch, rng):
     monkeypatch.undo()
     assert count == 0
     assert any(c.den != 1 for x in xs for c in x.components)
+
+
+def test_regular_rep_det_makes_no_algebra_product(alg7, rng, monkeypatch):
+    x = random_algebra_elem(alg7, rng)
+    calls = []
+    real = AlgebraElem.__mul__
+    monkeypatch.setattr(AlgebraElem, "__mul__", lambda s, o: calls.append(o) or real(s, o))
+    det = x.regular_rep_det()
+    assert calls == []
+    assert det == x.reduced_norm().norm()

@@ -15,6 +15,7 @@ from sbcert.errors import (
     BadSearchBound,
     BadTrialCount,
     BoundTooLarge,
+    CapExceeded,
     NotPrime,
     RejectedOverride,
     WrongResidue,
@@ -272,3 +273,18 @@ def test_cli_fail_exit_code(monkeypatch, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["overall"] == "FAIL" and payload["failed_stage"] == "algebra"
+
+
+def test_cli_stage_error_exits_3(monkeypatch, capsys):
+    # an internal error raised inside a stage is neither a FAIL (1) nor a usage error (2)
+    def raising(algebra):
+        raise CapExceeded("closure exceeded its cap")
+
+    monkeypatch.setattr(pipeline, "group_report", raising)
+    code = cli.main(["--p", "7", "--trials", "1", "--quiet"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "sbcert: error: internal check raised CapExceeded: closure exceeded its cap\n"
+    )
