@@ -45,7 +45,6 @@ from .obstruction import (
 )
 from .pipeline import PipelineOptions, run_algebra_checks, run_pipeline
 from .projective import (
-    AbstractGp,
     GroupReport,
     ProjClass,
     alpha_hat,
@@ -55,7 +54,9 @@ from .projective import (
     generate_subgroup,
     group_report,
     identity_class,
+    is_group,
     jordan_index_check,
+    semidirect_table,
     verify_relations,
     xi_hat,
 )

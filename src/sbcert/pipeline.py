@@ -33,7 +33,8 @@ class PipelineOptions:
 
 
 def _validate_override(p: int, a: int) -> int:
-    a = int(a)
+    if not isinstance(a, int):
+        raise RejectedOverride(f"a = {a!r} is not an int; the parameter must be an integer")
     if a == 0:
         raise RejectedOverride("a = 0 is not a unit; the algebra needs a nonzero parameter")
     if a % p == 0:

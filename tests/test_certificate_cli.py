@@ -1,12 +1,14 @@
 """Pipeline orchestration, certificate serialization, CLI behavior."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import sbcert.algebra as algebra_module
 import sbcert.cli as cli
 import sbcert.pipeline as pipeline
+import sbcert.projective as projective
 from sbcert.algebra import CyclicAlgebra
 from sbcert.certificate import certificate_to_dict, certificate_to_json, _int_field
 from sbcert.cyclotomic import make_field
@@ -54,6 +56,11 @@ def test_pipeline_rejects_cube_override():
         run_pipeline(7, PipelineOptions(a=0))
     with pytest.raises(RejectedOverride):
         run_pipeline(7, PipelineOptions(a=14))
+    # not integers: truncating them would quietly certify a = 3 instead
+    with pytest.raises(RejectedOverride):
+        run_pipeline(7, PipelineOptions(a=3.9))
+    with pytest.raises(RejectedOverride):
+        run_pipeline(7, PipelineOptions(a=Fraction(7, 2)))
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -173,6 +180,23 @@ def test_failed_group_substage_named(monkeypatch):
     cert = run_pipeline(7, FAST)
     assert cert.overall == "FAIL"
     assert cert.failed_stage == "group:jordan_index"
+
+
+def test_broken_reference_table_fails_abstract_axioms(monkeypatch):
+    # two swapped entries of one row; the powers of element 2 never return
+    # to the identity, so every walk over the table has to be bounded
+    real = projective.semidirect_table
+
+    def broken(p, d):
+        table = real(p, d)
+        table[1][1], table[1][2] = table[1][2], table[1][1]
+        return table
+
+    monkeypatch.setattr(projective, "semidirect_table", broken)
+    cert = run_pipeline(7, FAST)
+    assert cert.overall == "FAIL"
+    assert cert.failed_stage == "group:abstract_axioms"
+    assert not cert.group.abstract_axioms_ok
 
 
 def test_division_failure_fails_algebra_stage(monkeypatch):

@@ -16,7 +16,6 @@ from sbcert.cyclotomic import k_coordinate_vector, make_field
 from sbcert.errors import CapExceeded, ZeroElement
 from sbcert.obstruction import choose_a
 from sbcert.projective import (
-    AbstractGp,
     alpha_hat,
     canonicalize,
     cayley_table,
@@ -25,8 +24,10 @@ from sbcert.projective import (
     group_report,
     identity_class,
     is_abelian,
+    is_group,
     jordan_index_check,
     order_histogram,
+    semidirect_table,
     table_orders,
     verify_relations,
     xi_hat,
@@ -56,6 +57,13 @@ def _tabulated(algebra):
     full = generate_subgroup([xi_hat(algebra), alpha_hat(algebra)])
     classes = _classes(full)
     return cayley_table(full), classes.index(xi_hat(algebra)), classes.index(alpha_hat(algebra))
+
+
+def _swapped(table, row, a, b):
+    """A copy of table with entries a and b of one row exchanged."""
+    out = [list(r) for r in table]
+    out[row][a], out[row][b] = out[row][b], out[row][a]
+    return out
 
 
 def _counting_canonicalize(monkeypatch):
@@ -154,8 +162,18 @@ def test_class_eq_agrees_with_canonical_equality(alg7, field7, rng):
 
 def test_element_orders(alg7):
     table, xi, al = _tabulated(alg7)
-    orders = table_orders(table, 0)
+    orders = table_orders(table)
     assert (orders[0], orders[al], orders[xi]) == (1, 3, 7)
+
+
+def test_element_orders_return_on_a_broken_table():
+    # after the swap the powers of element 2 never reach the identity; the
+    # bounded walk reports order 0 instead of looping for ever
+    broken = _swapped(semidirect_table(7, 2), 1, 1, 2)
+    orders = table_orders(broken)
+    assert orders[2] == 0
+    assert order_histogram(broken) != order_histogram(semidirect_table(7, 2))
+    assert jordan_index_check(broken) in range(1, 22)  # its closure walks return too
 
 
 def test_xi_powers_nontrivial_below_p(alg7):
@@ -223,31 +241,67 @@ def test_verify_relations_swapped_generators(alg7):
 
 
 def test_abstract_group_p7():
-    abstract = AbstractGp(7, 2)
-    assert abstract.order == 21
-    assert abstract.verify_axioms()
-    assert abstract.order_histogram() == {1: 1, 3: 14, 7: 6}
-    assert abstract.mul((0, 0), (3, 1)) == (3, 1)
-    assert abstract.mul((1, 1), (1, 0)) == ((1 + 2) % 7, 1)
+    abstract = semidirect_table(7, 2)
+    assert len(abstract) == 21
+    # (u, v) sits at index 3u + v
+    assert abstract[0][3 * 3 + 1] == 3 * 3 + 1  # (0,0)*(3,1) = (3,1)
+    assert abstract[3 * 1 + 1][3 * 1 + 0] == 3 * 3 + 1  # (1,1)*(1,0) = (1+2, 1)
+    assert order_histogram(abstract) == {1: 1, 3: 14, 7: 6}
+    assert is_group(abstract, (3, 1))
     with pytest.raises(ValueError):
-        AbstractGp(7, 3)  # 3 does not have order 3 mod 7
+        semidirect_table(7, 3)  # 3 does not have order 3 mod 7
+
+
+def test_is_group_rejects_every_swap_within_a_row():
+    abstract = semidirect_table(7, 2)
+    n = len(abstract)
+    for row in range(n):
+        for a in range(n):
+            for b in range(a + 1, n):
+                assert not is_group(_swapped(abstract, row, a, b), (3, 1)), (row, a, b)
+
+
+def test_is_group_rejects_non_generating_gens():
+    # (1, 0) alone generates only the normal Z/7
+    assert not is_group(semidirect_table(7, 2), (3,))
+
+
+def test_is_group_rejects_a_monoid_without_inverses():
+    # {1, x} with x * x = x: identity, associative, generated by x; row x has no 0
+    assert not is_group([[0, 1], [1, 1]], (1,))
+
+
+def test_is_group_rejects_identity_off_index_0():
+    # exchange the labels 0 and 5 (r is its own inverse): still a group, identity at 5
+    abstract = semidirect_table(7, 2)
+    n = len(abstract)
+    r = [5, 1, 2, 3, 4, 0] + list(range(6, n))
+    moved = [[r[abstract[r[a]][r[b]]] for b in range(n)] for a in range(n)]
+    assert moved[5][7] == 7 and moved[7][5] == 7
+    assert not is_group(moved, (r[3], r[1]))
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_concrete_table_is_a_group(p):
+    table, xi, al = _tabulated(_algebra(p))
+    assert is_group(table, (xi, al))
 
 
 def test_isomorphism_p7(alg7):
     table, xi, al = _tabulated(alg7)
-    abstract = AbstractGp(7, 2)
+    abstract = semidirect_table(7, 2)
     result = check_isomorphism(table, xi, al, abstract)
     assert result["ok"]
     assert result["pairs_checked"] == 441
     assert result["counterexample"] is None
-    assert order_histogram(table) == abstract.order_histogram()
+    assert order_histogram(table) == order_histogram(abstract)
 
 
 def test_isomorphism_rejects_wrong_twist(alg7):
     table, xi, al = _tabulated(alg7)
     # d = 4 = 2^2 also has order 3 mod 7 but is the inverse action: the
     # fixed pairing cannot be a homomorphism onto that table
-    result = check_isomorphism(table, xi, al, AbstractGp(7, 4))
+    result = check_isomorphism(table, xi, al, semidirect_table(7, 4))
     assert not result["ok"]
     assert 0 < result["pairs_checked"] < 441
     assert result["counterexample"] is not None
@@ -256,13 +310,13 @@ def test_isomorphism_rejects_wrong_twist(alg7):
 def test_isomorphism_rejects_non_bijective_phi(alg7):
     table, xi, al = _tabulated(alg7)
     # xi == al: phi(u, v) = al^(u + 2v) takes only three values
-    result = check_isomorphism(table, al, al, AbstractGp(7, 2))
+    result = check_isomorphism(table, al, al, semidirect_table(7, 2))
     assert not result["ok"]
     assert result["pairs_checked"] == 0
     assert result["counterexample"] is None
     # a table of the wrong order is rejected before phi is built
     cyclic = cayley_table(generate_subgroup([xi_hat(alg7)]))
-    short = check_isomorphism(cyclic, 1, 0, AbstractGp(7, 2))
+    short = check_isomorphism(cyclic, 1, 0, semidirect_table(7, 2))
     assert not short["ok"] and short["pairs_checked"] == 0
 
 
