@@ -220,9 +220,12 @@ class FieldElem:
         other = self._check(other)
         n = self.field.degree
         xs, ys = self.num, other.num
+        bound = max(map(abs, xs)) * max(map(abs, ys))
+        if not bound:
+            return self.field.zero()
         # Kronecker substitution: one integer product of the packed vectors,
         # with slots wide enough for any convolution coefficient and its sign
-        width = (max(map(abs, xs)) * max(map(abs, ys)) * n).bit_length() + 2
+        width = (bound * n).bit_length() + 2
         conv = _unpack(_pack(xs, width) * _pack(ys, width), width, 2 * n - 1)
         # exponents >= p wrap (zeta^p = 1); exponent p-1 folds via Phi_p
         out = conv[:n]
@@ -332,14 +335,6 @@ class FieldElem:
     def is_in_K(self) -> bool:
         """True iff the element is fixed by s, i.e. lies in the index-3 subfield."""
         return self.sigma(1) == self
-
-    def decompose_over_K(self):
-        """Split x = k0 + k1*zeta + k2*zeta^2 with each ki in K."""
-        vec = k_coordinate_vector(self.field, self)
-        k = self.field.k
-        return tuple(
-            _from_period_ints(self.field, vec[j * k : (j + 1) * k], self.den) for j in range(3)
-        )
 
 
 @functools.lru_cache(maxsize=None)

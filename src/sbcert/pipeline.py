@@ -32,6 +32,13 @@ class PipelineOptions:
     norm_search_bound: Optional[int] = None  # None: 1 for p = 7, else skip
 
 
+def _validate_counts(trials: int, bound: Optional[int]) -> None:
+    if not isinstance(trials, int) or trials < 1:
+        raise BadTrialCount(f"trials = {trials!r}; the checks need a whole number, at least 1")
+    if bound is not None and (not isinstance(bound, int) or bound < 0):
+        raise BadSearchBound(f"norm search bound = {bound!r}; use a whole number, 0 to skip")
+
+
 def _validate_override(p: int, a: int) -> int:
     if not isinstance(a, int):
         raise RejectedOverride(f"a = {a!r} is not an int; the parameter must be an integer")
@@ -125,14 +132,7 @@ def _algebra_checks_ok(checks: dict) -> bool:
 def run_pipeline(p: int, options: Optional[PipelineOptions] = None) -> Certificate:
     """Execute every stage for the prime p; deterministic given options."""
     opts = options or PipelineOptions()
-    if opts.trials < 1:
-        raise BadTrialCount(
-            f"trials = {opts.trials}; the randomized checks need at least one sample"
-        )
-    if opts.norm_search_bound is not None and opts.norm_search_bound < 0:
-        raise BadSearchBound(
-            f"norm search bound = {opts.norm_search_bound}; use 0 to skip the search"
-        )
+    _validate_counts(opts.trials, opts.norm_search_bound)
     timings = {}
     t_start = time.perf_counter()
 

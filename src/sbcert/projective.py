@@ -7,15 +7,16 @@ multiplies every K-coordinate by the same element of K, so the canonical
 representative is a complete class invariant.
 
 The subgroup generated by the classes of zeta and alpha is expanded
-breadth-first with canonical-form deduplication, tabulated, and compared
-with the reference table of Z/p x| Z/3 whose twist is the order-3 residue
-d.  Both tables keep the identity at index 0.  Conjugation by alpha acts
-on <zeta-hat> as d^-1, so the pairing that matches the reference table as
-written is phi(u, v) = xi-hat^u * (alpha-hat^2)^v.  The breadth-first
-expansion is the only place classes are multiplied: it records each
-element's products with the generators, the table is built from those
-edges by index, and the relations, the element orders and phi are read
-off the one table, so a group stage makes 6p + 2 class products (the two
+breadth-first, tabulated, and compared with the reference table of
+Z/p x| Z/3 whose twist is the order-3 residue d.  Both tables keep the
+identity at index 0.  Conjugation by alpha acts on <zeta-hat> as d^-1, so
+the pairing that matches the reference table as written is
+phi(u, v) = xi-hat^u * (alpha-hat^2)^v.  The expansion is the only place
+classes are multiplied: it multiplies the product that found each class (a
+monomial c * zeta^u * alpha^w), keys classes by canonical form and records
+each element's products with the generators.  The table is built from
+those edges by index, and the relations, the element orders and phi are
+read off it, so a group stage makes 6p + 2 class products (the two
 generators and the 2 * 3p expansion products).
 """
 
@@ -33,24 +34,15 @@ ISO_CONVENTION = "phi(u, v) = xi_hat^u * (alpha_hat^2)^v"
 class ProjClass:
     """Canonical representative of an algebra unit modulo K*-scaling."""
 
-    __slots__ = ("rep", "_key")
+    __slots__ = ("rep", "key")
 
     def __init__(self, rep: AlgebraElem):
         self.rep = rep
-        self._key = None
+        self.key = (rep.algebra.field.p, rep.algebra.a, rep.x0, rep.x1, rep.x2)
 
     @property
     def algebra(self) -> CyclicAlgebra:
         return self.rep.algebra
-
-    @property
-    def key(self):
-        k = self._key
-        if k is None:
-            rep = self.rep
-            k = (rep.algebra.field.p, rep.algebra.a, rep.x0, rep.x1, rep.x2)
-            self._key = k
-        return k
 
     def __mul__(self, other: "ProjClass") -> "ProjClass":
         return canonicalize(self.rep * other.rep)
@@ -94,8 +86,10 @@ def generate_subgroup(gens) -> list:
     Returns one (class, successors) pair per element, in BFS layer then
     discovery order, where successors[k] is the index of class * gens[k].
     These are the only class products; cayley_table reads the rest of the
-    table off these edges.  For a finite group, closure under multiplication
-    alone suffices; more than 10p classes (the group has 3p) raises.
+    table off these edges.  They multiply the product that found each class,
+    not its canonical representative, whose inverse-K-coordinate scale grows.
+    For a finite group, closure under multiplication alone suffices; more
+    than 10p classes (the group has 3p) raises.
     """
     gens = list(gens)
     if not gens:
@@ -105,15 +99,18 @@ def generate_subgroup(gens) -> list:
     e = identity_class(algebra)
     index = {e.key: 0}
     classes = [e]
+    found_by = [e.rep]  # the product that found each class
     edges = []
-    for g in classes:  # grows while it is walked: a BFS queue
+    for x in found_by:  # grows while it is walked: a BFS queue
         successors = []
         for s in gens:
-            h = g * s
+            y = x * s.rep
+            h = canonicalize(y)
             i = index.get(h.key)
             if i is None:
                 i = index[h.key] = len(classes)
                 classes.append(h)
+                found_by.append(y)
                 if len(classes) > cap:
                     raise CapExceeded(
                         f"subgroup generation exceeded cap {cap}; expected order 3p"

@@ -1,7 +1,74 @@
 """Test-only oracles: slow, direct routes that the package's fast ones must agree with."""
 
 from sbcert.algebra import AlgebraElem
+from sbcert.cyclotomic import k_coordinate_vector
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch, ZeroElement
+from sbcert.projective import identity_class
+from sbcert.rationals import Rat
+
+
+def schoolbook_mul(field, x, y):
+    """x * y by plain convolution, then long division by Phi_p = 1 + t + ... + t^(p-1).
+
+    A different reduction route than the package's zeta^p folding, on
+    exact rationals instead of packed integers.
+    """
+    p = field.p
+    n = p - 1
+    prod = [Rat(0)] * (2 * n - 1)
+    for i, ca in enumerate(x.coords):
+        for j, cb in enumerate(y.coords):
+            prod[i + j] += ca * cb
+    while len(prod) > n:
+        lead = prod[-1]
+        if lead:
+            shift = len(prod) - 1 - n
+            for idx in range(p):
+                prod[shift + idx] -= lead
+        prod.pop()
+    prod += [Rat(0)] * (n - len(prod))
+    return field.element(prod)
+
+
+def decompose_over_K(x):
+    """Split x = k0 + k1*zeta + k2*zeta^2 with each ki in K.
+
+    Each ki is rebuilt from its block of integer K-coordinates as a
+    combination of the Gaussian periods over x.den.
+    """
+    field = x.field
+    k = field.k
+    vec = k_coordinate_vector(field, x)
+    periods = field.gaussian_periods()
+    return tuple(
+        sum((eta * c for c, eta in zip(vec[j * k : (j + 1) * k], periods)), field.zero())
+        * Rat(1, x.den)
+        for j in range(3)
+    )
+
+
+def generate_subgroup_by_class_products(gens) -> list:
+    """Breadth-first closure that multiplies canonical classes, g * s.
+
+    The package's generate_subgroup multiplies the product that found each
+    class instead; both must list the same classes and edges in the same
+    order.  No cap: call it only on generators of a finite group.
+    """
+    e = identity_class(gens[0].algebra)
+    index = {e.key: 0}
+    classes = [e]
+    edges = []
+    for g in classes:  # grows while it is walked: a BFS queue
+        successors = []
+        for s in gens:
+            h = g * s
+            i = index.get(h.key)
+            if i is None:
+                i = index[h.key] = len(classes)
+                classes.append(h)
+            successors.append(i)
+        edges.append(tuple(successors))
+    return list(zip(classes, edges))
 
 
 def regular_rep_rows_by_products(x: AlgebraElem) -> list:

@@ -91,6 +91,22 @@ def test_input_errors_share_one_base(error):
     assert issubclass(error, BadInput)
 
 
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        (PipelineOptions(trials=2.5, norm_search_bound=0), BadTrialCount),
+        (PipelineOptions(trials=Fraction(5, 2), norm_search_bound=0), BadTrialCount),
+        (PipelineOptions(trials=2, norm_search_bound=1.5), BadSearchBound),
+        (PipelineOptions(trials=2, norm_search_bound=Fraction(1, 2)), BadSearchBound),
+    ],
+    ids=["float-trials", "fraction-trials", "float-bound", "fraction-bound"],
+)
+def test_pipeline_rejects_non_integer_counts(options, error):
+    # argparse hands the CLI ints, so only a library caller can pass these
+    with pytest.raises(error):
+        run_pipeline(7, options)
+
+
 PASSING_CHECKS = {
     "seed": 0,
     "division_certified": True,

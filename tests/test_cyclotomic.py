@@ -2,7 +2,7 @@
 
 import pytest
 from draws import random_k_star_elem, random_nonzero_field_elem
-from oracles import rank
+from oracles import decompose_over_K, rank, schoolbook_mul
 
 import sbcert.cyclotomic as cyclotomic
 from sbcert import linalg
@@ -16,26 +16,6 @@ from sbcert.errors import (
 )
 from sbcert.rationals import Rat
 from sbcert.sampling import random_field_elem
-
-
-def _schoolbook_mul(field, x, y):
-    # plain convolution followed by long division by Phi_p = 1 + t + ... + t^(p-1);
-    # a different reduction route than the in-package zeta^p folding
-    p = field.p
-    n = p - 1
-    prod = [Rat(0)] * (2 * n - 1)
-    for i, ca in enumerate(x.coords):
-        for j, cb in enumerate(y.coords):
-            prod[i + j] += ca * cb
-    while len(prod) > n:
-        lead = prod[-1]
-        if lead:
-            shift = len(prod) - 1 - n
-            for idx in range(p):
-                prod[shift + idx] -= lead
-        prod.pop()
-    prod += [Rat(0)] * (n - len(prod))
-    return field.element(prod)
 
 
 def _inv_linear_solve(x):
@@ -94,7 +74,7 @@ def test_mul_reduction_cases(field7):
     # zeta^3 * zeta^4 = zeta^7 = 1: wraps clean around the root of unity
     lhs = field7.zeta(3) * field7.zeta(4)
     assert lhs == field7.one()
-    assert lhs == _schoolbook_mul(field7, field7.zeta(3), field7.zeta(4))
+    assert lhs == schoolbook_mul(field7, field7.zeta(3), field7.zeta(4))
     assert field7.zeta(2) * field7.zeta(4) == field7.zeta(6)
 
 
@@ -103,7 +83,7 @@ def test_mul_matches_schoolbook_oracle(field7, field13, rng):
         for _ in range(40):
             x = random_field_elem(field, rng)
             y = random_field_elem(field, rng)
-            assert x * y == _schoolbook_mul(field, x, y)
+            assert x * y == schoolbook_mul(field, x, y)
 
 
 def test_mul_extreme_coefficients_match_schoolbook_oracle():
@@ -119,7 +99,25 @@ def test_mul_extreme_coefficients_match_schoolbook_oracle():
         ([Rat(big, 3)] * n, [Rat(-1, big)] + [0] * (n - 1)),
     ):
         x, y = field.element(x), field.element(y)
-        assert x * y == _schoolbook_mul(field, x, y)
+        assert x * y == schoolbook_mul(field, x, y)
+
+
+def test_mul_by_zero_is_the_reduced_zero(field7, field13, rng):
+    # a zero factor returns before the Kronecker pack; the product must still
+    # be the one zero, over den 1
+    for field in (field7, field13):
+        zero = field.zero()
+        for _ in range(20):
+            x = random_nonzero_field_elem(field, rng)
+            y = random_nonzero_field_elem(field, rng)
+            for product in (x * zero, zero * x, zero * zero, x * (y - y)):
+                assert product == zero
+                assert product.den == 1
+            # no zero factor: still the oracle's product, dense or a monomial
+            assert x * y == schoolbook_mul(field, x, y)
+            monomial = field.zeta(rng.randrange(field.p)) * rng.choice([-2, 3, Rat(1, 5)])
+            assert x * monomial == schoolbook_mul(field, x, monomial)
+            assert monomial * monomial == schoolbook_mul(field, monomial, monomial)
 
 
 def test_mul_identity(field7, rng):
@@ -253,22 +251,22 @@ def test_gaussian_periods_structure(field13):
 
 def test_decompose_trivial_cases(field7):
     eta0 = field7.gaussian_periods()[0]
-    k0, k1, k2 = eta0.decompose_over_K()
+    k0, k1, k2 = decompose_over_K(eta0)
     assert (k0, k1, k2) == (eta0, field7.zero(), field7.zero())
-    k0, k1, k2 = field7.xi().decompose_over_K()
+    k0, k1, k2 = decompose_over_K(field7.xi())
     assert (k0, k1, k2) == (field7.zero(), field7.one(), field7.zero())
 
 
 def test_decompose_roundtrip(field7, field13, rng):
     xi3 = field7.zeta(3)
-    k0, k1, k2 = xi3.decompose_over_K()
+    k0, k1, k2 = decompose_over_K(xi3)
     z = field7.xi()
     assert k0 + k1 * z + k2 * z * z == xi3
     for field in (field7, field13):
         z = field.xi()
         for _ in range(100):
             x = random_field_elem(field, rng)
-            k0, k1, k2 = x.decompose_over_K()
+            k0, k1, k2 = decompose_over_K(x)
             assert all(part.is_in_K() for part in (k0, k1, k2))
             assert k0 + k1 * z + k2 * z * z == x
 

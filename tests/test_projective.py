@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 from draws import random_k_star_elem
-from oracles import class_eq
+from oracles import class_eq, generate_subgroup_by_class_products
 
 import sbcert.cyclotomic as cyclotomic
 import sbcert.projective as projective
-from sbcert.algebra import CyclicAlgebra
+from sbcert.algebra import AlgebraElem, CyclicAlgebra
 from sbcert.certificate import _group_dict
 from sbcert.cyclotomic import k_coordinate_vector, make_field
 from sbcert.errors import CapExceeded, ZeroElement
@@ -210,6 +210,44 @@ def test_generation_deterministic(alg7):
     first = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
     second = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
     assert [(g.key, s) for g, s in first] == [(g.key, s) for g, s in second]
+
+
+@pytest.mark.parametrize("p", [7, 13, 19])
+def test_generate_subgroup_matches_class_product_bfs(p):
+    algebra = _algebra(p)
+    gens = [xi_hat(algebra), alpha_hat(algebra)]
+    expected = generate_subgroup_by_class_products(gens)
+    assert [(g.key, s) for g, s in generate_subgroup(gens)] == [
+        (g.key, s) for g, s in expected
+    ]
+
+
+@pytest.mark.parametrize("p, a", [(19, 2), (19, 10), (31, None)])
+def test_generate_subgroup_multiplies_small_monomials(p, a, monkeypatch):
+    # every left factor is the product that found a class, c * zeta^u * alpha^w
+    # with an integer |c| <= |a|; canonical representatives would reach
+    # denominator 11 at p = 19
+    field = make_field(p)
+    algebra = CyclicAlgebra(field, choose_a(p) if a is None else a)
+    gens = [xi_hat(algebra), alpha_hat(algebra)]
+    assert [g.rep for g in gens] == [algebra.embed(field.xi()), algebra.alpha()]
+    factors = []
+    real_mul = AlgebraElem.__mul__
+
+    def recording(x, y):
+        factors.append(x)
+        return real_mul(x, y)
+
+    monkeypatch.setattr(AlgebraElem, "__mul__", recording)
+    full = generate_subgroup(gens)
+    monkeypatch.undo()
+    assert len(full) == 3 * p
+    assert len(factors) == 2 * 3 * p
+    for x in factors:
+        nonzero = [c for c in x.components if c]
+        assert len(nonzero) == 1
+        assert nonzero[0].den == 1
+        assert max(map(abs, nonzero[0].num)) <= abs(algebra.a)
 
 
 def test_verify_relations(alg7):
