@@ -22,6 +22,7 @@ from .errors import (
     BadInput,
     BadResidue,
     BadSearchBound,
+    BadSeed,
     BadTrialCount,
     BoundTooLarge,
     CapExceeded,
@@ -46,14 +47,12 @@ from .obstruction import (
 from .pipeline import PipelineOptions, run_algebra_checks, run_pipeline
 from .projective import (
     GroupReport,
-    ProjClass,
     alpha_hat,
     canonicalize,
     cayley_table,
     check_isomorphism,
     generate_subgroup,
     group_report,
-    identity_class,
     is_group,
     jordan_index_check,
     semidirect_table,

@@ -95,14 +95,13 @@ class CyclicAlgebra:
 class AlgebraElem:
     """x0 + x1*alpha + x2*alpha^2 with components in L."""
 
-    __slots__ = ("algebra", "x0", "x1", "x2", "_hash")
+    __slots__ = ("algebra", "x0", "x1", "x2")
 
     def __init__(self, algebra: CyclicAlgebra, x0: FieldElem, x1: FieldElem, x2: FieldElem):
         self.algebra = algebra
         self.x0 = x0
         self.x1 = x1
         self.x2 = x2
-        self._hash = None
 
     @property
     def components(self):
@@ -177,11 +176,7 @@ class AlgebraElem:
         return bool(self.x0) or bool(self.x1) or bool(self.x2)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.algebra.field.p, self.algebra.a, self.x0, self.x1, self.x2))
-            self._hash = h
-        return h
+        return hash((self.algebra.field.p, self.algebra.a, self.x0, self.x1, self.x2))
 
     def __repr__(self):
         return f"({self.x0!r}) + ({self.x1!r})*al + ({self.x2!r})*al^2"

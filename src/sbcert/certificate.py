@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .obstruction import ObstructionReport
-from .projective import GroupReport
+from .projective import ISO_CONVENTION, GroupReport
 from .rationals import rat_str
 
 SCHEMA_VERSION = "1.0"
@@ -92,7 +92,7 @@ def _group_dict(rep: Optional[GroupReport]) -> Optional[dict]:
         "isomorphism": {
             "ok": rep.iso_ok,
             "pairs_checked": rep.iso_pairs_checked,
-            "convention": rep.iso_convention,
+            "convention": ISO_CONVENTION,
             "counterexample": counterexample,
         },
         "abstract_axioms_ok": rep.abstract_axioms_ok,

@@ -164,13 +164,12 @@ class FieldElem:
     gcd(den, *num) = 1, so equal elements have equal (num, den).
     """
 
-    __slots__ = ("field", "num", "den", "_hash")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: CycloField, num: tuple, den: int = 1):
         self.field = field
         self.num = num
         self.den = den
-        self._hash = None
 
     @property
     def coords(self) -> tuple:
@@ -262,11 +261,7 @@ class FieldElem:
         return any(self.num)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.field.p, self.num, self.den))
-            self._hash = h
-        return h
+        return hash((self.field.p, self.num, self.den))
 
     def __repr__(self):
         terms = []

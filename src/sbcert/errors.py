@@ -63,3 +63,7 @@ class BadTrialCount(BadInput):
 
 class BadSearchBound(BadInput):
     """A negative norm-search height bound: there is no such search to run."""
+
+
+class BadSeed(BadInput):
+    """A seed that is not a plain int: the certificate could not reproduce the run."""

@@ -18,7 +18,7 @@ from typing import Optional
 from .algebra import CyclicAlgebra
 from .certificate import SCHEMA_VERSION, Certificate
 from .cyclotomic import make_field
-from .errors import BadSearchBound, BadTrialCount, NotInvertible, RejectedOverride
+from .errors import BadSearchBound, BadSeed, BadTrialCount, NotInvertible, RejectedOverride
 from .obstruction import choose_a, is_cube_mod_p, obstruction_report
 from .projective import group_report
 from .sampling import random_algebra_elem, random_field_elem, random_nonzero_algebra_elem
@@ -32,10 +32,14 @@ class PipelineOptions:
     norm_search_bound: Optional[int] = None  # None: 1 for p = 7, else skip
 
 
-def _validate_counts(trials: int, bound: Optional[int]) -> None:
-    if not isinstance(trials, int) or trials < 1:
+def _validate_counts(opts: PipelineOptions) -> None:
+    # type() is int, not isinstance: a bool is an int, but JSON writes it as true
+    trials, bound = opts.trials, opts.norm_search_bound
+    if type(opts.seed) is not int:
+        raise BadSeed(f"seed = {opts.seed!r}; the seed must be an int")
+    if type(trials) is not int or trials < 1:
         raise BadTrialCount(f"trials = {trials!r}; the checks need a whole number, at least 1")
-    if bound is not None and (not isinstance(bound, int) or bound < 0):
+    if bound is not None and (type(bound) is not int or bound < 0):
         raise BadSearchBound(f"norm search bound = {bound!r}; use a whole number, 0 to skip")
 
 
@@ -132,7 +136,7 @@ def _algebra_checks_ok(checks: dict) -> bool:
 def run_pipeline(p: int, options: Optional[PipelineOptions] = None) -> Certificate:
     """Execute every stage for the prime p; deterministic given options."""
     opts = options or PipelineOptions()
-    _validate_counts(opts.trials, opts.norm_search_bound)
+    _validate_counts(opts)
     timings = {}
     t_start = time.perf_counter()
 

@@ -1,10 +1,11 @@
 """The unit-class group A*/K* at desk scale.
 
-A class {c*x : c in K*} is stored by its canonical representative: scale x
+A class {c*x : c in K*} is its canonical element, an AlgebraElem: scale x
 so that the first nonzero of its nine K-coordinates (component index i,
 then power j in the K-basis {1, zeta, zeta^2}) equals 1.  Scaling by K*
 multiplies every K-coordinate by the same element of K, so the canonical
-representative is a complete class invariant.
+element is a complete class invariant, and element equality and hashing
+are class equality and hashing.
 
 The subgroup generated by the classes of zeta and alpha is expanded
 breadth-first, tabulated, and compared with the reference table of
@@ -13,7 +14,7 @@ identity at index 0.  Conjugation by alpha acts on <zeta-hat> as d^-1, so
 the pairing that matches the reference table as written is
 phi(u, v) = xi-hat^u * (alpha-hat^2)^v.  The expansion is the only place
 classes are multiplied: it multiplies the product that found each class (a
-monomial c * zeta^u * alpha^w), keys classes by canonical form and records
+monomial c * zeta^u * alpha^w), keys classes by canonical element and records
 each element's products with the generators.  The table is built from
 those edges by index, and the relations, the element orders and phi are
 read off it, so a group stage makes 6p + 2 class products (the two
@@ -31,36 +32,8 @@ from .errors import CapExceeded, ZeroElement
 ISO_CONVENTION = "phi(u, v) = xi_hat^u * (alpha_hat^2)^v"
 
 
-class ProjClass:
-    """Canonical representative of an algebra unit modulo K*-scaling."""
-
-    __slots__ = ("rep", "key")
-
-    def __init__(self, rep: AlgebraElem):
-        self.rep = rep
-        self.key = (rep.algebra.field.p, rep.algebra.a, rep.x0, rep.x1, rep.x2)
-
-    @property
-    def algebra(self) -> CyclicAlgebra:
-        return self.rep.algebra
-
-    def __mul__(self, other: "ProjClass") -> "ProjClass":
-        return canonicalize(self.rep * other.rep)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjClass):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"ProjClass({self.rep!r})"
-
-
-def canonicalize(x: AlgebraElem) -> ProjClass:
-    """The canonical class representative of a nonzero algebra element."""
+def canonicalize(x: AlgebraElem) -> AlgebraElem:
+    """The canonical representative of the class of a nonzero algebra element."""
     if not x:
         raise ZeroElement("the zero element has no projective class")
     field = x.algebra.field
@@ -72,19 +45,16 @@ def canonicalize(x: AlgebraElem) -> ProjClass:
                 block = vec[j * k : (j + 1) * k]
                 if any(block):
                     scale = k_inverse_from_period_coords(field, block, comp.den)
-                    return ProjClass(x.scale(scale))
+                    return x.scale(scale)
     raise AssertionError("unreachable: nonzero element with zero K-coordinates")
-
-
-def identity_class(algebra: CyclicAlgebra) -> ProjClass:
-    return ProjClass(algebra.one())
 
 
 def generate_subgroup(gens) -> list:
     """Closure under multiplication, breadth-first from the identity.
 
     Returns one (class, successors) pair per element, in BFS layer then
-    discovery order, where successors[k] is the index of class * gens[k].
+    discovery order: the class is its canonical element and successors[k]
+    is the index of the class of class * gens[k].
     These are the only class products; cayley_table reads the rest of the
     table off these edges.  They multiply the product that found each class,
     not its canonical representative, whose inverse-K-coordinate scale grows.
@@ -96,28 +66,25 @@ def generate_subgroup(gens) -> list:
         raise ValueError("at least one generator (or an explicit identity) required")
     algebra = gens[0].algebra
     cap = 10 * algebra.field.p
-    e = identity_class(algebra)
-    index = {e.key: 0}
-    classes = [e]
-    found_by = [e.rep]  # the product that found each class
+    found_by = [algebra.one()]  # the product that found each class
+    index = {found_by[0]: 0}  # canonical element -> index, in discovery order
     edges = []
     for x in found_by:  # grows while it is walked: a BFS queue
         successors = []
         for s in gens:
-            y = x * s.rep
+            y = x * s
             h = canonicalize(y)
-            i = index.get(h.key)
+            i = index.get(h)
             if i is None:
-                i = index[h.key] = len(classes)
-                classes.append(h)
+                i = index[h] = len(index)
                 found_by.append(y)
-                if len(classes) > cap:
+                if len(index) > cap:
                     raise CapExceeded(
                         f"subgroup generation exceeded cap {cap}; expected order 3p"
                     )
             successors.append(i)
         edges.append(tuple(successors))
-    return list(zip(classes, edges))
+    return list(zip(index, edges))
 
 
 def cayley_table(elements) -> list:
@@ -177,11 +144,11 @@ def is_abelian(table) -> bool:
     return all(table[i][j] == table[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def xi_hat(algebra: CyclicAlgebra) -> ProjClass:
+def xi_hat(algebra: CyclicAlgebra) -> AlgebraElem:
     return canonicalize(algebra.embed(algebra.field.xi()))
 
 
-def alpha_hat(algebra: CyclicAlgebra) -> ProjClass:
+def alpha_hat(algebra: CyclicAlgebra) -> AlgebraElem:
     return canonicalize(algebra.alpha())
 
 
@@ -252,7 +219,6 @@ def _iso_result(ok: bool, pairs_checked: int = 0, counterexample=None) -> dict:
         "ok": ok,
         "pairs_checked": pairs_checked,
         "counterexample": counterexample,
-        "convention": ISO_CONVENTION,
     }
 
 
@@ -334,7 +300,6 @@ class GroupReport:
     generator_orders: dict
     iso_ok: bool
     iso_pairs_checked: int
-    iso_convention: str
     abstract_axioms_ok: bool
     histograms_match: bool
     jordan_index: int
@@ -353,10 +318,6 @@ class GroupReport:
             ("non_abelian", self.non_abelian),
         )
         return next((f"group:{name}" for name, ok in checks if not ok), None)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.failed_substage is None
 
 
 def group_report(algebra: CyclicAlgebra) -> GroupReport:
@@ -379,7 +340,6 @@ def group_report(algebra: CyclicAlgebra) -> GroupReport:
         generator_orders={"xi_hat": orders[xi_i], "alpha_hat": orders[al_i]},
         iso_ok=iso["ok"],
         iso_pairs_checked=iso["pairs_checked"],
-        iso_convention=iso["convention"],
         # (1, 0) and (0, 1), at indices 3 and 1, generate the reference group
         abstract_axioms_ok=is_group(abstract, (3, 1)),
         histograms_match=hist == order_histogram(abstract),

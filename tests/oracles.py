@@ -3,7 +3,7 @@
 from sbcert.algebra import AlgebraElem
 from sbcert.cyclotomic import k_coordinate_vector
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch, ZeroElement
-from sbcert.projective import identity_class
+from sbcert.projective import canonicalize
 from sbcert.rationals import Rat
 
 
@@ -30,6 +30,14 @@ def schoolbook_mul(field, x, y):
     return field.element(prod)
 
 
+def mat_mul(field, lhs, rhs):
+    """The product of two 3x3 matrices over L, entry by entry."""
+    return tuple(
+        tuple(sum((lhs[i][k] * rhs[k][j] for k in range(3)), field.zero()) for j in range(3))
+        for i in range(3)
+    )
+
+
 def decompose_over_K(x):
     """Split x = k0 + k1*zeta + k2*zeta^2 with each ki in K.
 
@@ -48,23 +56,23 @@ def decompose_over_K(x):
 
 
 def generate_subgroup_by_class_products(gens) -> list:
-    """Breadth-first closure that multiplies canonical classes, g * s.
+    """Breadth-first closure that multiplies canonical elements, g * s.
 
     The package's generate_subgroup multiplies the product that found each
     class instead; both must list the same classes and edges in the same
     order.  No cap: call it only on generators of a finite group.
     """
-    e = identity_class(gens[0].algebra)
-    index = {e.key: 0}
+    e = gens[0].algebra.one()
+    index = {e: 0}
     classes = [e]
     edges = []
     for g in classes:  # grows while it is walked: a BFS queue
         successors = []
         for s in gens:
-            h = g * s
-            i = index.get(h.key)
+            h = canonicalize(g * s)
+            i = index.get(h)
             if i is None:
-                i = index[h.key] = len(classes)
+                i = index[h] = len(classes)
                 classes.append(h)
             successors.append(i)
         edges.append(tuple(successors))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import inverse_via_solve
+from oracles import inverse_via_solve, mat_mul
 
 from sbcert.algebra import AlgebraElem, CyclicAlgebra
 from sbcert.cyclotomic import make_field
@@ -19,13 +19,6 @@ from sbcert.sampling import (
 def _identity_matrix(field):
     one, zero = field.one(), field.zero()
     return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-
-
-def _mat_mul(field, lhs, rhs):
-    return tuple(
-        tuple(sum((lhs[i][k] * rhs[k][j] for k in range(3)), field.zero()) for j in range(3))
-        for i in range(3)
-    )
 
 
 def test_alpha_cubed_is_a(alg7, field7):
@@ -98,7 +91,7 @@ def test_splitting_matrix_multiplicative(alg7, field7, rng):
     for _ in range(100):
         x = random_algebra_elem(alg7, rng)
         y = random_algebra_elem(alg7, rng)
-        assert _mat_mul(field7, x.splitting_matrix(), y.splitting_matrix()) == (
+        assert mat_mul(field7, x.splitting_matrix(), y.splitting_matrix()) == (
             x * y
         ).splitting_matrix()
 

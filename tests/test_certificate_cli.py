@@ -15,6 +15,7 @@ from sbcert.cyclotomic import make_field
 from sbcert.errors import (
     BadInput,
     BadSearchBound,
+    BadSeed,
     BadTrialCount,
     BoundTooLarge,
     CapExceeded,
@@ -84,7 +85,15 @@ def test_pipeline_accepts_non_cube_override():
 
 @pytest.mark.parametrize(
     "error",
-    [BadTrialCount, BadSearchBound, NotPrime, WrongResidue, RejectedOverride, BoundTooLarge],
+    [
+        BadTrialCount,
+        BadSearchBound,
+        BadSeed,
+        NotPrime,
+        WrongResidue,
+        RejectedOverride,
+        BoundTooLarge,
+    ],
 )
 def test_input_errors_share_one_base(error):
     # the CLI maps BadInput to exit 2, so every input error has to be one
@@ -98,8 +107,25 @@ def test_input_errors_share_one_base(error):
         (PipelineOptions(trials=Fraction(5, 2), norm_search_bound=0), BadTrialCount),
         (PipelineOptions(trials=2, norm_search_bound=1.5), BadSearchBound),
         (PipelineOptions(trials=2, norm_search_bound=Fraction(1, 2)), BadSearchBound),
+        (PipelineOptions(trials=True, norm_search_bound=0), BadTrialCount),
+        (PipelineOptions(trials=2, norm_search_bound=True), BadSearchBound),
+        (PipelineOptions(seed=1.5, trials=2, norm_search_bound=0), BadSeed),
+        (PipelineOptions(seed="1", trials=2, norm_search_bound=0), BadSeed),
+        (PipelineOptions(seed=None, trials=2, norm_search_bound=0), BadSeed),
+        (PipelineOptions(seed=False, trials=2, norm_search_bound=0), BadSeed),
     ],
-    ids=["float-trials", "fraction-trials", "float-bound", "fraction-bound"],
+    ids=[
+        "float-trials",
+        "fraction-trials",
+        "float-bound",
+        "fraction-bound",
+        "bool-trials",
+        "bool-bound",
+        "float-seed",
+        "str-seed",
+        "none-seed",
+        "bool-seed",
+    ],
 )
 def test_pipeline_rejects_non_integer_counts(options, error):
     # argparse hands the CLI ints, so only a library caller can pass these

@@ -6,6 +6,7 @@ from oracles import decompose_over_K, rank, schoolbook_mul
 
 import sbcert.cyclotomic as cyclotomic
 from sbcert import linalg
+from sbcert.algebra import CyclicAlgebra
 from sbcert.cyclotomic import is_prime, k_coordinate_vector, k_inverse, make_field
 from sbcert.errors import (
     BadResidue,
@@ -14,8 +15,9 @@ from sbcert.errors import (
     SingularBasis,
     WrongResidue,
 )
+from sbcert.projective import canonicalize
 from sbcert.rationals import Rat
-from sbcert.sampling import random_field_elem
+from sbcert.sampling import random_field_elem, random_nonzero_algebra_elem
 
 
 def _inv_linear_solve(x):
@@ -321,9 +323,29 @@ def test_negative_exponent_rejected(field7, alg7):
         alg7.alpha() ** -1
 
 
-def test_element_equality_and_hash(field7):
+def test_element_equality_and_hash(field7, alg7, rng):
     a = field7.element([1, 2, 3, 4, 5, 6])
     b = field7.element([Rat(2, 2), 2, 3, 4, 5, 6])
     assert a == b and hash(a) == hash(b)
     assert a != field7.one()
     assert field7.from_rational(3) == 3
+    # algebra elements, the projective group's class keys: the same value
+    # built by different routes is one key
+    zeta, al = field7.zeta(), alg7.alpha()
+    same = [
+        (alg7.element(0, zeta, 0), alg7.embed(zeta) * al),
+        (alg7.element(0, zeta, 0), al * alg7.embed(zeta.sigma(1))),
+        (alg7.element(2, 0, 0), al**3),
+        (alg7.element(Rat(1, 2), 0, Rat(3, 6)), (alg7.one() + al * al).scale(Rat(1, 2))),
+    ]
+    for x, y in same:
+        assert x == y and hash(x) == hash(y)
+        assert {x: 0}[y] == 0
+    assert alg7.element(0, zeta, 0) != alg7.element(0, 0, zeta)
+    assert CyclicAlgebra(field7, 3).one() != alg7.one()
+    for _ in range(20):
+        x = random_nonzero_algebra_elem(alg7, rng)
+        c = random_k_star_elem(field7, rng)
+        h, g = canonicalize(x), canonicalize(x.scale(c))
+        assert h == g and hash(h) == hash(g)
+        assert {h: 0}[g] == 0
