@@ -1,18 +1,20 @@
 """Certificate record and its canonical JSON serialization.
 
-Key order is fixed (documented in docs/certificate_schema.md), rationals
-are decimal strings in lowest terms, and any integer field that could
-exceed 64 bits is emitted as a decimal string, so certificates for equal
-(p, options, seed) are byte-identical apart from the wall-clock
-timings_ms block, which consumers must ignore when diffing.
+Key order is fixed (documented in docs/certificate_schema.md) by the
+field order of the report dataclasses, rationals are decimal strings in
+lowest terms, and every integer wider than 64 bits is emitted as a
+decimal string, so certificates for equal (p, options, seed) are
+byte-identical apart from the wall-clock timings_ms block, which
+consumers must ignore when diffing.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
+from .cyclotomic import FieldElem
 from .obstruction import ObstructionReport
-from .projective import ISO_CONVENTION, GroupReport
+from .projective import GroupReport
 from .rationals import rat_str
 
 SCHEMA_VERSION = "1.0"
@@ -41,9 +43,13 @@ def _int_field(n: int):
 
 @dataclass
 class Certificate:
-    """The machine-checkable record of one full pipeline run."""
+    """The machine-checkable record of one full pipeline run.
 
-    schema_version: str
+    The fields, and those of the reports they hold, are the certificate's
+    keys in order; certificate_to_dict adds the two constants,
+    schema_version first and imported_lemma_note before timings_ms.
+    """
+
     p: int
     d: int
     k: int
@@ -62,68 +68,27 @@ class Certificate:
         return self.overall == "PASS"
 
 
-def _obstruction_dict(rep: ObstructionReport) -> dict:
-    witness = None
-    if rep.witness is not None:
-        witness = [rat_str(c) for c in rep.witness.coords]
-    return {
-        "p": _int_field(rep.p),
-        "a": _int_field(rep.a),
-        "cubes_mod_p": [_int_field(c) for c in rep.cubes],
-        "is_cube": rep.is_cube,
-        "search_bound": rep.search_bound,
-        "search_performed": rep.search_performed,
-        "search_candidates": _int_field(rep.search_candidates),
-        "witness_found": witness,
-    }
+def _encode(value):
+    """The JSON value of a report field, by one rule per type, at every depth."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, FieldElem):
+        return [rat_str(c) for c in value.coords]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value  # a str, a bool or None
+    return _int_field(value)  # an int, or a float of wall-clock ms, truncated
 
 
-def _group_dict(rep: Optional[GroupReport]) -> Optional[dict]:
-    if rep is None:
-        return None
-    counterexample = rep.counterexample
-    if counterexample is not None:
-        counterexample = [list(pair) for pair in counterexample]
-    return {
-        "order": rep.order,
-        "order_histogram": {str(k): v for k, v in sorted(rep.order_histogram.items())},
-        "relations": dict(rep.relations_ok),
-        "generator_orders": dict(rep.generator_orders),
-        "isomorphism": {
-            "ok": rep.iso_ok,
-            "pairs_checked": rep.iso_pairs_checked,
-            "convention": ISO_CONVENTION,
-            "counterexample": counterexample,
-        },
-        "abstract_axioms_ok": rep.abstract_axioms_ok,
-        "order_histograms_match": rep.histograms_match,
-        "jordan_index": rep.jordan_index,
-        "non_abelian": rep.non_abelian,
-    }
-
-
-def certificate_to_dict(cert: Certificate, include_timings: bool = True) -> dict:
-    out = {
-        "schema_version": cert.schema_version,
-        "p": _int_field(cert.p),
-        "d": _int_field(cert.d),
-        "k": _int_field(cert.k),
-        "a": _int_field(cert.a),
-        "seed": _int_field(cert.seed),
-        "trials": cert.trials,
-        "overall": cert.overall,
-        "failed_stage": cert.failed_stage,
-        "obstruction": _obstruction_dict(cert.obstruction),
-        "algebra_checks": cert.algebra_checks,
-        "group": _group_dict(cert.group),
-        "imported_lemma_note": IMPORTED_LEMMA_NOTE,
-    }
-    if include_timings:
-        out["timings_ms"] = {k: int(v) for k, v in cert.timings_ms.items()}
+def certificate_to_dict(cert: Certificate) -> dict:
+    out = {"schema_version": SCHEMA_VERSION, **_encode(cert)}
+    out["imported_lemma_note"] = IMPORTED_LEMMA_NOTE
+    out["timings_ms"] = out.pop("timings_ms")  # the one wall-clock block goes last
     return out
 
 
-def certificate_to_json(cert: Certificate, include_timings: bool = True) -> str:
-    return json.dumps(
-        certificate_to_dict(cert, include_timings=include_timings), indent=2
-    )
+def certificate_to_json(cert: Certificate) -> str:
+    return json.dumps(certificate_to_dict(cert), indent=2)

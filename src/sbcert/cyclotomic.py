@@ -28,7 +28,14 @@ from math import gcd, isqrt
 from operator import add, itemgetter
 
 from . import linalg
-from .errors import BadResidue, DivisionByZero, NotPrime, SingularBasis, WrongResidue
+from .errors import (
+    BadResidue,
+    DivisionByZero,
+    NotInvertible,
+    NotPrime,
+    SingularBasis,
+    WrongResidue,
+)
 from .rationals import Rat, as_rat, ints_over_den
 
 
@@ -249,13 +256,10 @@ class FieldElem:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return (
-                self.field == other.field and self.num == other.num and self.den == other.den
-            )
-        if isinstance(other, (int, Rat)):
-            return self == self.field.from_rational(other)
-        return NotImplemented
+        # field elements only: a rational never equals one, as their hashes differ
+        if not isinstance(other, FieldElem):
+            return NotImplemented
+        return self.field == other.field and self.num == other.num and self.den == other.den
 
     def __bool__(self):
         return any(self.num)
@@ -431,8 +435,11 @@ def k_inverse_from_period_coords(field: CycloField, vec, den: int = 1) -> FieldE
 
 
 def k_inverse(x: FieldElem) -> FieldElem:
-    """Inverse of x, taking the fast period-basis route when x lies in K."""
-    if x.is_in_K():
-        coords = k_coordinate_vector(x.field, x)
-        return k_inverse_from_period_coords(x.field, coords[: x.field.k], x.den)
-    return x.inv()
+    """Inverse of an element of the fixed field K, by the period-basis solve.
+
+    An element outside K raises NotInvertible: no caller should hold one.
+    """
+    if not x.is_in_K():
+        raise NotInvertible("k_inverse needs an element of the fixed field K")
+    coords = k_coordinate_vector(x.field, x)
+    return k_inverse_from_period_coords(x.field, coords[: x.field.k], x.den)

@@ -73,38 +73,32 @@ def brute_force_norm_search(field: CycloField, a, bound: int) -> Optional[FieldE
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Everything the certificate records about the choice of a."""
+    """Everything the certificate records about the choice of a, in key order."""
 
     p: int
     a: int
-    cubes: tuple
+    cubes_mod_p: tuple
     is_cube: bool
     search_bound: int
     search_performed: bool
     search_candidates: int
-    witness: Optional[FieldElem]
+    witness_found: Optional[FieldElem]
 
     @property
     def certificate_grade(self) -> bool:
-        return not self.is_cube and self.witness is None
+        return not self.is_cube and self.witness_found is None
 
 
 def obstruction_report(field: CycloField, a: int, bound: int) -> ObstructionReport:
     """Run the congruence test and (for bound >= 1) the brute-force search."""
-    cubes = tuple(sorted(cubes_mod_p(field.p)))
-    cube_flag = is_cube_mod_p(a, field.p)
-    witness = None
     performed = bound >= 1
-    candidates = search_candidate_count(field, bound) if performed else 0
-    if performed:
-        witness = brute_force_norm_search(field, a, bound)
     return ObstructionReport(
         p=field.p,
         a=a,
-        cubes=cubes,
-        is_cube=cube_flag,
+        cubes_mod_p=tuple(sorted(cubes_mod_p(field.p))),
+        is_cube=is_cube_mod_p(a, field.p),
         search_bound=bound,
         search_performed=performed,
-        search_candidates=candidates,
-        witness=witness,
+        search_candidates=search_candidate_count(field, bound) if performed else 0,
+        witness_found=brute_force_norm_search(field, a, bound) if performed else None,
     )

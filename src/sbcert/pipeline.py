@@ -16,7 +16,7 @@ from operator import methodcaller
 from typing import Optional
 
 from .algebra import CyclicAlgebra
-from .certificate import SCHEMA_VERSION, Certificate
+from .certificate import Certificate
 from .cyclotomic import make_field
 from .errors import BadSearchBound, BadSeed, BadTrialCount, NotInvertible, RejectedOverride
 from .obstruction import choose_a, is_cube_mod_p, obstruction_report
@@ -177,7 +177,6 @@ def run_pipeline(p: int, options: Optional[PipelineOptions] = None) -> Certifica
         failed_stage = greport.failed_substage
 
     return Certificate(
-        schema_version=SCHEMA_VERSION,
         p=p,
         d=field.d,
         k=field.k,

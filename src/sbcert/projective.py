@@ -218,6 +218,7 @@ def _iso_result(ok: bool, pairs_checked: int = 0, counterexample=None) -> dict:
     return {
         "ok": ok,
         "pairs_checked": pairs_checked,
+        "convention": ISO_CONVENTION,
         "counterexample": counterexample,
     }
 
@@ -229,6 +230,7 @@ def check_isomorphism(table, xi: int, al: int, abstract) -> dict:
     image of abstract index 3u + v, is built by walking the generator
     columns of the concrete table (xi and al are indices into it).  A
     counterexample is the abstract pair ((u, v), (u', v')) where phi broke.
+    The answer is the certificate's isomorphism block, convention included.
     """
     n = len(abstract)
     if len(table) != n:
@@ -292,28 +294,26 @@ def jordan_index_check(table) -> int:
 
 @dataclass
 class GroupReport:
-    """Everything the certificate records about the realized group."""
+    """Everything the certificate records about the realized group, in key order."""
 
     order: int
     order_histogram: dict
-    relations_ok: dict
+    relations: dict
     generator_orders: dict
-    iso_ok: bool
-    iso_pairs_checked: int
+    isomorphism: dict
     abstract_axioms_ok: bool
-    histograms_match: bool
+    order_histograms_match: bool
     jordan_index: int
     non_abelian: bool
-    counterexample: Optional[tuple] = None
 
     @property
     def failed_substage(self) -> Optional[str]:
         """The first failing check as "group:<name>", or None."""
         checks = (
-            ("relations", all(self.relations_ok.values())),
+            ("relations", all(self.relations.values())),
             ("abstract_axioms", self.abstract_axioms_ok),
-            ("isomorphism", self.iso_ok),
-            ("order_histogram", self.histograms_match),
+            ("isomorphism", self.isomorphism["ok"]),
+            ("order_histogram", self.order_histograms_match),
             ("jordan_index", self.jordan_index == 3),
             ("non_abelian", self.non_abelian),
         )
@@ -329,21 +329,16 @@ def group_report(algebra: CyclicAlgebra) -> GroupReport:
     xi_i, al_i = elements[0][1]  # identity * generator is the generator
     orders = table_orders(table)
     hist = _histogram(orders)
-    relations = verify_relations(table, xi_i, al_i, p, d)
     abstract = semidirect_table(p, d)
-    iso = check_isomorphism(table, xi_i, al_i, abstract)
-    jordan = jordan_index_check(table)
     return GroupReport(
         order=len(elements),
         order_histogram=hist,
-        relations_ok=relations,
+        relations=verify_relations(table, xi_i, al_i, p, d),
         generator_orders={"xi_hat": orders[xi_i], "alpha_hat": orders[al_i]},
-        iso_ok=iso["ok"],
-        iso_pairs_checked=iso["pairs_checked"],
+        isomorphism=check_isomorphism(table, xi_i, al_i, abstract),
         # (1, 0) and (0, 1), at indices 3 and 1, generate the reference group
         abstract_axioms_ok=is_group(abstract, (3, 1)),
-        histograms_match=hist == order_histogram(abstract),
-        jordan_index=jordan,
+        order_histograms_match=hist == order_histogram(abstract),
+        jordan_index=jordan_index_check(table),
         non_abelian=not is_abelian(table),
-        counterexample=iso["counterexample"],
     )

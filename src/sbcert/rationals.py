@@ -17,9 +17,11 @@ HAVE_GMPY2 = False
 
 
 def as_rat(value) -> Rat:
-    """Coerce an int, string ("3", "-1/2") or rational type to Rat."""
+    """Coerce an int, string ("3", "-1/2") or rational type to Rat; a float raises TypeError."""
     if isinstance(value, Rat):
         return value
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; give an exact int, string or fraction")
     return Rat(value)
 
 

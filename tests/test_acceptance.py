@@ -61,9 +61,10 @@ def test_criterion_1_full_realization_p7(timed_cert7):
         group.order_histogram == {1: 1, 3: 14, 7: 6},
         f"histogram = {group.order_histogram}",
     )
-    _check(failures, all(group.relations_ok.values()), f"relations = {group.relations_ok}")
-    _check(failures, group.iso_ok, "isomorphism verified")
-    _check(failures, group.iso_pairs_checked == 441, f"pairs = {group.iso_pairs_checked}")
+    _check(failures, all(group.relations.values()), f"relations = {group.relations}")
+    iso = group.isomorphism
+    _check(failures, iso["ok"], "isomorphism verified")
+    _check(failures, iso["pairs_checked"] == 441, f"pairs = {iso['pairs_checked']}")
     _check(failures, group.jordan_index == 3, f"jordan = {group.jordan_index}")
     _check(failures, elapsed < 10.0, f"runtime {elapsed:.1f}s >= 10s")
     _emit(1, "full group realization, p=7", failures)

@@ -10,7 +10,7 @@ import sbcert.cli as cli
 import sbcert.pipeline as pipeline
 import sbcert.projective as projective
 from sbcert.algebra import CyclicAlgebra
-from sbcert.certificate import certificate_to_dict, certificate_to_json, _int_field
+from sbcert.certificate import _encode, _int_field, certificate_to_dict, certificate_to_json
 from sbcert.cyclotomic import make_field
 from sbcert.errors import (
     BadInput,
@@ -23,7 +23,9 @@ from sbcert.errors import (
     RejectedOverride,
     WrongResidue,
 )
+from sbcert.obstruction import obstruction_report
 from sbcert.pipeline import PipelineOptions, run_pipeline
+from sbcert.rationals import Rat
 
 FAST = PipelineOptions(trials=10, norm_search_bound=0)
 
@@ -167,9 +169,9 @@ def test_cli_oversized_search_bound_rejected(capsys):
 def test_certificate_deterministic_modulo_timings():
     first = run_pipeline(7, PipelineOptions(trials=5, norm_search_bound=1))
     second = run_pipeline(7, PipelineOptions(trials=5, norm_search_bound=1))
-    assert certificate_to_json(first, include_timings=False) == certificate_to_json(
-        second, include_timings=False
-    )
+    first_doc, second_doc = certificate_to_dict(first), certificate_to_dict(second)
+    del first_doc["timings_ms"], second_doc["timings_ms"]
+    assert first_doc == second_doc
 
 
 def test_certificate_structure(cert7_fast):
@@ -191,6 +193,39 @@ def test_large_int_serialization_rule():
     assert _int_field(2**62) == 2**62
     assert _int_field(2**70) == str(2**70)
     assert _int_field(-(2**70)) == str(-(2**70))
+
+
+def test_wide_ints_are_strings_in_every_block():
+    # 2^64 = 2 (mod 7) is a non-cube unit; a and seed each appear in two blocks
+    a, seed = 2**64, 2**70
+    cert = run_pipeline(7, PipelineOptions(a=a, seed=seed, trials=1, norm_search_bound=0))
+    payload = json.loads(certificate_to_json(cert))
+    assert cert.passed
+    assert (payload["a"], payload["obstruction"]["a"]) == (str(a), str(a))
+    assert (payload["seed"], payload["algebra_checks"]["seed"]) == (str(seed), str(seed))
+
+
+def test_encoder_writes_a_group_counterexample(monkeypatch):
+    # the reference table of twist d^2 = 4 at p = 7: the fixed pairing breaks on it
+    real = projective.semidirect_table
+    monkeypatch.setattr(projective, "semidirect_table", lambda p, d: real(p, d * d % p))
+    cert = run_pipeline(7, FAST)
+    assert cert.failed_stage == "group:isomorphism"
+    (u, v), (u2, v2) = cert.group.isomorphism["counterexample"]
+    block = json.loads(certificate_to_json(cert))["group"]["isomorphism"]
+    assert block["ok"] is False and 0 < block["pairs_checked"] < 441
+    assert block["convention"] == "phi(u, v) = xi_hat^u * (alpha_hat^2)^v"
+    assert block["counterexample"] == [[u, v], [u2, v2]]
+
+
+def test_encoder_writes_a_witness_as_rational_strings(field7):
+    # 8 = 2^3 is a norm, found at height 2
+    block = _encode(obstruction_report(field7, 8, 2))
+    assert block["witness_found"] == ["2", "0", "0", "0", "0", "0"]
+    assert block["cubes_mod_p"] == [1, 6] and block["is_cube"] is True
+    assert _encode(field7.element([Rat(1, 2), -3, 0, 0, 0, Rat(4, 6)])) == [
+        "1/2", "-3", "0", "0", "0", "2/3"
+    ]
 
 
 def test_failed_algebra_stage_serializes(monkeypatch):
@@ -260,6 +295,23 @@ def test_norm_oracle_sign_error_fails_algebra_stage(monkeypatch):
     cert = run_pipeline(7, FAST)
     block = cert.algebra_checks["norm_oracle_agreement"]
     assert block == {"trials": 10, "failures": 10, "ok": False}
+    assert cert.overall == "FAIL"
+    assert cert.failed_stage == "algebra"
+
+
+def test_reduced_norm_outside_K_fails_algebra_stage(monkeypatch):
+    # Nrd and the cofactors both times zeta: the cofactor quotient is still
+    # x^-1, but k_inverse refuses the norm, so no sample counts as invertible
+    real = algebra_module.AlgebraElem._cofactors
+
+    def off_k(x):
+        cofactors, det = real(x)
+        zeta = x.algebra.field.zeta()
+        return tuple(c * zeta for c in cofactors), det * zeta
+
+    monkeypatch.setattr(algebra_module.AlgebraElem, "_cofactors", off_k)
+    cert = run_pipeline(7, FAST)
+    assert cert.algebra_checks["division_property"] == {"trials": 20, "failures": 20, "ok": False}
     assert cert.overall == "FAIL"
     assert cert.failed_stage == "algebra"
 

@@ -11,6 +11,7 @@ from sbcert.cyclotomic import is_prime, k_coordinate_vector, k_inverse, make_fie
 from sbcert.errors import (
     BadResidue,
     DivisionByZero,
+    NotInvertible,
     NotPrime,
     SingularBasis,
     WrongResidue,
@@ -316,6 +317,26 @@ def test_k_inverse_of_fixed_field_elements(field7, field13, rng):
             assert k_inverse(c) * c == field.one()
 
 
+def test_k_inverse_rejects_elements_outside_K(field7):
+    # the one inverse route left; outside K there is no fallback to FieldElem.inv
+    for x in (field7.zeta(), field7.zeta() + 1, field7.element([1, 2, 0, 0, 0, 0])):
+        with pytest.raises(NotInvertible):
+            k_inverse(x)
+
+
+def test_floats_rejected_at_the_rational_boundary(field7, alg7):
+    # a float would enter as its binary expansion, 0.1 with a denominator of 2^55
+    for build in (
+        lambda: field7.from_rational(0.1),
+        lambda: field7.element([0.5, 0, 0, 0, 0, 0]),
+        lambda: CyclicAlgebra(field7, 0.5),
+        lambda: field7.one() * 0.5,
+        lambda: alg7.one().scale(0.5),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_negative_exponent_rejected(field7, alg7):
     with pytest.raises(ValueError):
         field7.xi() ** -1
@@ -328,7 +349,10 @@ def test_element_equality_and_hash(field7, alg7, rng):
     b = field7.element([Rat(2, 2), 2, 3, 4, 5, 6])
     assert a == b and hash(a) == hash(b)
     assert a != field7.one()
-    assert field7.from_rational(3) == 3
+    # an element never equals a rational, so equal objects keep equal hashes
+    three = field7.from_rational(3)
+    assert three != 3 and 3 not in {three} and three not in {3}
+    assert three == field7.element([3, 0, 0, 0, 0, 0])
     # algebra elements, the projective group's class keys: the same value
     # built by different routes is one key
     zeta, al = field7.zeta(), alg7.alpha()

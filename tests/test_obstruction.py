@@ -81,10 +81,10 @@ def test_search_deterministic(field7):
 def test_obstruction_report(field7):
     rep = obstruction_report(field7, 2, 1)
     assert rep.certificate_grade
-    assert rep.cubes == (1, 6)
+    assert rep.cubes_mod_p == (1, 6)
     assert not rep.is_cube
     assert rep.search_performed and rep.search_candidates == 729
-    assert rep.witness is None
+    assert rep.witness_found is None
 
     skipped = obstruction_report(field7, 2, 0)
     assert skipped.certificate_grade
@@ -94,5 +94,5 @@ def test_obstruction_report(field7):
     assert cube.is_cube and not cube.certificate_grade
 
     witnessed = obstruction_report(field7, 8, 2)
-    assert witnessed.witness == field7.from_rational(2)
+    assert witnessed.witness_found == field7.from_rational(2)
     assert not witnessed.certificate_grade

@@ -11,7 +11,7 @@ from oracles import class_eq, generate_subgroup_by_class_products
 import sbcert.cyclotomic as cyclotomic
 import sbcert.projective as projective
 from sbcert.algebra import AlgebraElem, CyclicAlgebra
-from sbcert.certificate import _group_dict
+from sbcert.certificate import _encode
 from sbcert.cyclotomic import k_coordinate_vector, make_field
 from sbcert.errors import CapExceeded, ZeroElement
 from sbcert.obstruction import choose_a
@@ -392,7 +392,7 @@ def test_group_report_p7(alg7):
     assert report.order == 21
     assert report.order_histogram == {1: 1, 3: 14, 7: 6}
     assert report.generator_orders == {"xi_hat": 7, "alpha_hat": 3}
-    assert report.iso_pairs_checked == 441
+    assert report.isomorphism["pairs_checked"] == 441
     assert report.jordan_index == 3
     assert report.non_abelian
 
@@ -433,4 +433,4 @@ def test_group_report_work_bound(monkeypatch):
 def test_group_report_matches_golden(p):
     expected = json.loads((GOLDEN / f"group_p{p}.json").read_text())
     report = group_report(_algebra(p))
-    assert _group_dict(report) == expected
+    assert _encode(report) == expected
