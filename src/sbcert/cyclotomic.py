@@ -420,8 +420,9 @@ def k_inverse_from_period_coords(field: CycloField, vec, den: int = 1) -> FieldE
     """Inverse of the fixed-field element sum(vec[i] * eta_i) / den, for integers vec.
 
     Solves the k x k integer system (mult-by-vec) y = 1 by fraction-free
-    elimination instead of inverting in L; the small solve is what keeps
-    projective canonicalization fast.
+    elimination instead of inverting in L.  The solve is most of a
+    canonicalization, so the subgroup expansion solves each distinct
+    leading block once.
     """
     if not any(vec):
         raise DivisionByZero("inverse of zero in the fixed field")

@@ -276,6 +276,23 @@ def test_broken_reference_table_fails_abstract_axioms(monkeypatch):
     assert not cert.group.abstract_axioms_ok
 
 
+def test_concrete_table_without_an_identity_fails_the_group_stage(monkeypatch):
+    # row 1 loses its identity entry: a FAIL certificate, not a traceback
+    real = projective.cayley_table
+
+    def broken(elements):
+        table = real(elements)
+        table[1] = [1 if j == 0 else j for j in table[1]]
+        return table
+
+    monkeypatch.setattr(projective, "cayley_table", broken)
+    cert = run_pipeline(7, FAST)
+    assert cert.overall == "FAIL"
+    assert cert.failed_stage == "group:isomorphism"
+    assert cert.group.jordan_index == 0
+    assert json.loads(certificate_to_json(cert))["group"]["jordan_index"] == 0
+
+
 def test_division_failure_fails_algebra_stage(monkeypatch):
     # a wrong inverse scale makes inverse()'s own two-sided check refuse
     # every sample; the division loop relies on that check alone

@@ -65,32 +65,38 @@ def _swapped(table, row, a, b):
     return out
 
 
-def _counting_canonicalize(monkeypatch):
-    """Route projective.canonicalize through a counter; returns the counts."""
+def _counting(monkeypatch, name):
+    """Route projective.<name> through a counter; returns the counts."""
     counts = {"calls": 0}
-    real = projective.canonicalize
+    real = getattr(projective, name)
 
-    def counting(x):
+    def counting(*args):
         counts["calls"] += 1
-        return real(x)
+        return real(*args)
 
-    monkeypatch.setattr(projective, "canonicalize", counting)
+    monkeypatch.setattr(projective, name, counting)
     return counts
 
 
-def _first_k_coordinate_is_one(x):
+def _leading_block(x):
+    """The first nonzero K-block of x and its denominator, comp.den."""
     field = x.algebra.field
     k = field.k
-    one_coords = k_coordinate_vector(field, field.one().coords)[:k]
     for comp in x.components:
         if comp:
             vec = k_coordinate_vector(field, comp.coords)
             for j in range(3):
                 block = vec[j * k : (j + 1) * k]
                 if any(block):
-                    # the numerators are over comp.den
-                    return block == tuple(comp.den * c for c in one_coords)
-    return False
+                    return block, comp.den
+    raise AssertionError("zero element")
+
+
+def _first_k_coordinate_is_one(x):
+    field = x.algebra.field
+    one_coords = k_coordinate_vector(field, field.one().coords)[: field.k]
+    block, den = _leading_block(x)
+    return block == tuple(den * c for c in one_coords)
 
 
 def test_canonical_rep_normalization(alg7, rng):
@@ -105,6 +111,24 @@ def test_canonicalize_constant_on_K_star_orbits(alg7, field7, rng):
         x = random_nonzero_algebra_elem(alg7, rng)
         c = random_k_star_elem(field7, rng)
         assert canonicalize(x.scale(c)) == canonicalize(x)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_canonicalize_inverse_memo_is_transparent(p, rng):
+    # a shared memo changes no class: K*-multiples and an element that keeps
+    # x's leading block under other components reuse or add entries
+    algebra = _algebra(p)
+    xs = []
+    for _ in range(15):
+        x = random_nonzero_algebra_elem(algebra, rng)
+        y = random_nonzero_algebra_elem(algebra, rng)
+        c = random_k_star_elem(algebra.field, rng)
+        xs += [x, x.scale(c), AlgebraElem(algebra, x.x0, y.x1, y.x2), x]
+    inverses = {}
+    for x in xs:
+        assert canonicalize(x, inverses) == canonicalize(x)
+    assert set(inverses) == {_leading_block(x) for x in xs}
+    assert len(inverses) < len(xs)
 
 
 def test_canonicalize_builds_no_fraction(monkeypatch, rng):
@@ -362,6 +386,13 @@ def test_jordan_index(alg7):
     assert jordan_index_check(cayley_table(cyclic)) == 1
 
 
+def test_jordan_index_of_a_table_that_is_not_a_group():
+    # row 1 lacks the identity 0
+    assert jordan_index_check([[0, 1, 2], [1, 1, 1], [2, 1, 0]]) == 0
+    # every row holds 0, but no subgroup is normal and abelian
+    assert jordan_index_check([[0, 0, 0], [0, 0, 2], [1, 1, 0]]) == 0
+
+
 def test_group_table_structure(alg7):
     full = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
     table = cayley_table(full)
@@ -416,7 +447,7 @@ def test_cayley_table_work_bound(monkeypatch):
     algebra = _algebra(19)
     full = generate_subgroup([xi_hat(algebra), alpha_hat(algebra)])
     assert len(full) == 57
-    counts = _counting_canonicalize(monkeypatch)
+    counts = _counting(monkeypatch, "canonicalize")
     cayley_table(full)
     assert counts["calls"] == 0
 
@@ -424,12 +455,20 @@ def test_cayley_table_work_bound(monkeypatch):
 def test_group_report_work_bound(monkeypatch):
     # two generators and 2 * 57 closure products; the table, the relations,
     # the orders and the isomorphism make none of their own
-    counts = _counting_canonicalize(monkeypatch)
+    counts = _counting(monkeypatch, "canonicalize")
     assert group_report(_algebra(19)).failed_substage is None
     assert counts["calls"] == 2 + 2 * 57
 
 
-@pytest.mark.parametrize("p", [19, 31, 43, 61])
+@pytest.mark.parametrize("p", [7, 19])
+def test_group_report_solves_each_leading_block_once(p, monkeypatch):
+    # 6p + 2 class products, but only 2p - 4 distinct leading K-blocks
+    counts = _counting(monkeypatch, "k_inverse_from_period_coords")
+    assert group_report(_algebra(p)).failed_substage is None
+    assert counts["calls"] == 2 * p - 4
+
+
+@pytest.mark.parametrize("p", [19, 31, 43, 61, 103])
 def test_group_report_matches_golden(p):
     expected = json.loads((GOLDEN / f"group_p{p}.json").read_text())
     report = group_report(_algebra(p))
