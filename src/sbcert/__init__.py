@@ -9,56 +9,11 @@ orders p and 3.  The run_pipeline entry point emits a deterministic JSON
 certificate of every verified claim.
 """
 
-from .algebra import AlgebraElem, CyclicAlgebra
-from .certificate import (
-    IMPORTED_LEMMA_NOTE,
-    SCHEMA_VERSION,
-    Certificate,
-    certificate_to_dict,
-    certificate_to_json,
-)
-from .cyclotomic import CycloField, FieldElem, is_prime, make_field
-from .errors import (
-    BadInput,
-    BadResidue,
-    BadSearchBound,
-    BadSeed,
-    BadTrialCount,
-    BoundTooLarge,
-    CapExceeded,
-    DivisionByZero,
-    NotInvertible,
-    NotPrime,
-    ParamMismatch,
-    RejectedOverride,
-    SbcertError,
-    SingularBasis,
-    WrongResidue,
-    ZeroElement,
-)
-from .obstruction import (
-    ObstructionReport,
-    brute_force_norm_search,
-    choose_a,
-    cubes_mod_p,
-    is_cube_mod_p,
-    obstruction_report,
-)
+from .algebra import CyclicAlgebra
+from .certificate import certificate_to_json
+from .cyclotomic import make_field
+from .obstruction import choose_a, is_cube_mod_p
 from .pipeline import PipelineOptions, run_algebra_checks, run_pipeline
-from .projective import (
-    GroupReport,
-    alpha_hat,
-    canonicalize,
-    cayley_table,
-    check_isomorphism,
-    generate_subgroup,
-    group_report,
-    is_group,
-    jordan_index_check,
-    semidirect_table,
-    verify_relations,
-    xi_hat,
-)
-from .rationals import Rat
+from .projective import group_report
 
 __version__ = "0.1.0"

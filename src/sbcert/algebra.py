@@ -281,4 +281,4 @@ class AlgebraElem:
         det_Q(L_x) = N_{L/Q}(Nrd x) = N_{K/Q}(Nrd x)^3.
         """
         rows, den = self.regular_rep_rows()
-        return linalg.det_rational(rows) / den ** len(rows)
+        return Rat(linalg.det_rational(rows), den ** len(rows))

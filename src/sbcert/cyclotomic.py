@@ -114,14 +114,6 @@ class CycloField:
         """The distinguished primitive root zeta itself."""
         return self.zeta(1)
 
-    def gaussian_periods(self):
-        """The k period sums over the cosets of {1, d, d^2}; a Q-basis of K."""
-        return _gaussian_periods(self)
-
-    def cosets(self):
-        """Cosets of the subgroup {1, d, d^2} of (Z/p)*, smallest-rep first."""
-        return _cosets(self)
-
 
 def make_field(p: int) -> CycloField:
     """Validate p and build the field; d is the smallest order-3 residue."""
@@ -345,15 +337,17 @@ def _aut_gather(p: int, t: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _cosets(field: CycloField):
+def cosets(field: CycloField):
+    """Cosets of the subgroup {1, d, d^2} of (Z/p)*, smallest-rep first."""
     p, d = field.p, field.d
     orbits = {tuple(sorted({r, (r * d) % p, (r * d * d) % p})) for r in range(1, p)}
     return tuple(sorted(orbits))
 
 
 @functools.lru_cache(maxsize=None)
-def _gaussian_periods(field: CycloField):
-    return tuple(sum(map(field.zeta, coset), field.zero()) for coset in _cosets(field))
+def gaussian_periods(field: CycloField):
+    """The k period sums over the cosets of {1, d, d^2}; a Q-basis of K."""
+    return tuple(sum(map(field.zeta, coset), field.zero()) for coset in cosets(field))
 
 
 def _lincomb(coeffs, vectors, size: int) -> list:
@@ -376,7 +370,7 @@ def _k_basis_inverse(field: CycloField):
     the period coordinates of the K-component multiplying zeta^j.
     """
     n = field.degree
-    periods = _gaussian_periods(field)
+    periods = gaussian_periods(field)
     cols = [(eta * field.zeta(j)).num for j in range(3) for eta in periods]
     inv, den = linalg.invert([[cols[c][r] for c in range(n)] for r in range(n)])
     if den != 1:
@@ -396,7 +390,7 @@ def k_coordinate_vector(field: CycloField, coords) -> tuple:
 
 def _from_period_ints(field: CycloField, vec, den: int) -> FieldElem:
     """The fixed-field element sum(vec[i] * eta_i) / den, for integers vec."""
-    periods = [eta.num for eta in _gaussian_periods(field)]
+    periods = [eta.num for eta in gaussian_periods(field)]
     return _reduced(field, _lincomb(vec, periods, field.degree), den)
 
 
@@ -408,7 +402,7 @@ def _period_mult_matrices(field: CycloField):
     multiplication by sum(c_i eta_i) acts on period coordinates as sum(c_i M_i).
     """
     k = field.k
-    periods = _gaussian_periods(field)
+    periods = gaussian_periods(field)
     mats = []
     for eta_i in periods:
         cols = [k_coordinate_vector(field, eta_i * eta_j) for eta_j in periods]

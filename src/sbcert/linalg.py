@@ -1,20 +1,30 @@
-"""Exact dense linear algebra over Q.
+"""Exact dense linear algebra on integer matrices; other entries raise TypeError.
 
-Rational matrices (int or Fraction entries) are cleared to integers row
-by row and run through one forward fraction-free elimination (Bareiss,
-Math. Comp. 22, 1968; Cohen, A Course in Computational Algebraic Number
-Theory, 2.2), so every intermediate entry is an exact integer minor.  The
-determinant is that elimination alone; solve() and invert() add exact
-integer back-substitution and answer in the num / den form field elements
-use: integer numerators over one positive denominator, in lowest terms.
-Pivoting always takes the first nonzero candidate, so every result is
-deterministic.
+A copy of the rows runs through one forward fraction-free elimination
+(Bareiss, Math. Comp. 22, 1968; Cohen, A Course in Computational Algebraic
+Number Theory, 2.2), so every intermediate entry is an exact integer
+minor.  The determinant is that elimination alone; solve() and invert()
+add exact integer back-substitution and answer in the num / den form
+field elements use: integer numerators over one positive denominator, in
+lowest terms.  Pivoting always takes the first nonzero candidate, so
+every result is deterministic.
 """
 
 from math import gcd
 
 from .errors import SingularMatrix
-from .rationals import Rat, ints_over_den
+
+
+def _int_rows(rows) -> list:
+    """List copies of the rows, for _bareiss to work in; TypeError on a non-int entry.
+
+    The type must be exactly int: floor division gives a Fraction entry a
+    wrong answer, and a bool is not a matrix entry.
+    """
+    copies = [list(row) for row in rows]
+    if any(type(e) is not int for row in copies for e in row):
+        raise TypeError("linalg takes matrices of int entries only")
+    return copies
 
 
 def _bareiss(rows, n):
@@ -71,29 +81,21 @@ def _solve_ints(rows, n):
 
 def solve(matrix, rhs):
     """Solve matrix @ x = rhs exactly: (y, d) with x = y / d; raises SingularMatrix."""
-    # scaling a whole row of [A | b] leaves the solution unchanged
-    rows = [ints_over_den([*row, b])[0] for row, b in zip(matrix, rhs)]
+    rows = _int_rows([*row, b] for row, b in zip(matrix, rhs))
     sol, den = _solve_ints(rows, len(rows))
     return [y for (y,) in sol], den
 
 
 def invert(matrix):
-    """Exact inverse of a rational matrix: (Y, d) for Y / d; raises SingularMatrix."""
-    n = len(matrix)
-    rows = []
-    for i, row in enumerate(matrix):
-        ints, m = ints_over_den(row)
-        # (m * row_i) X = m * e_i row by row, i.e. (D A) X = D for X = A^-1
-        rows.append(ints + [m if j == i else 0 for j in range(n)])
+    """Exact inverse of an integer matrix: (Y, d) for Y / d; raises SingularMatrix."""
+    rows = _int_rows(matrix)
+    n = len(rows)
+    for i, row in enumerate(rows):
+        row.extend(int(j == i) for j in range(n))
     return _solve_ints(rows, n)
 
 
-def det_rational(matrix) -> Rat:
-    """Exact determinant of a square rational matrix; 1 for the empty one."""
-    scale = 1
-    rows = []
-    for row in matrix:
-        ints, m = ints_over_den(row)
-        scale *= m
-        rows.append(ints)
-    return Rat(_bareiss(rows, len(rows)), scale)
+def det_rational(matrix) -> int:
+    """Exact determinant of a square integer matrix; 1 for the empty one."""
+    rows = _int_rows(matrix)
+    return _bareiss(rows, len(rows))

@@ -1,11 +1,11 @@
 """Exact rational scalars at the package boundary.
 
-Field arithmetic, K-coordinates and linear-algebra answers are integers
-over one denominator (see cyclotomic.py and linalg.py), so rationals only
-appear where values enter or leave: coordinates given to or read from a
-field element, the algebra parameter, a determinant and the certificate.
-Rat is fractions.Fraction, always in lowest terms with a positive
-denominator.  No floating point enters anywhere.
+Field arithmetic and K-coordinates are integers over one denominator
+(see cyclotomic.py), and linalg.py takes integer matrices only, so
+rationals only appear where values enter or leave: coordinates given to or
+read from a field element, the algebra parameter, a determinant and the
+certificate.  Rat is fractions.Fraction, always in lowest terms with a
+positive denominator.  No floating point enters anywhere.
 """
 
 from fractions import Fraction as Rat

@@ -1,6 +1,6 @@
 """Test-only random draws that the package itself does not need."""
 
-from sbcert.cyclotomic import CycloField, FieldElem
+from sbcert.cyclotomic import CycloField, FieldElem, gaussian_periods
 from sbcert.rationals import Rat
 from sbcert.sampling import DENOMINATORS, NUMERATOR_RANGE, random_field_elem
 
@@ -18,7 +18,7 @@ def random_nonzero_field_elem(field: CycloField, rng) -> FieldElem:
 
 def random_k_star_elem(field: CycloField, rng) -> FieldElem:
     """Nonzero element of the fixed field: a random rational period combination."""
-    periods = field.gaussian_periods()
+    periods = gaussian_periods(field)
     while True:
         acc = field.zero()
         for eta in periods:

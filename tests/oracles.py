@@ -1,7 +1,7 @@
 """Test-only oracles: slow, direct routes that the package's fast ones must agree with."""
 
 from sbcert.algebra import AlgebraElem
-from sbcert.cyclotomic import k_coordinate_vector
+from sbcert.cyclotomic import gaussian_periods, k_coordinate_vector
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch, ZeroElement
 from sbcert.projective import canonicalize
 from sbcert.rationals import Rat
@@ -47,7 +47,7 @@ def decompose_over_K(x):
     field = x.field
     k = field.k
     vec = k_coordinate_vector(field, x)
-    periods = field.gaussian_periods()
+    periods = gaussian_periods(field)
     return tuple(
         sum((eta * c for c, eta in zip(vec[j * k : (j + 1) * k], periods)), field.zero())
         * Rat(1, x.den)

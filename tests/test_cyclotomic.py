@@ -1,5 +1,7 @@
 """Cyclotomic field arithmetic against independent schoolbook oracles."""
 
+from math import lcm
+
 import pytest
 from draws import random_k_star_elem, random_nonzero_field_elem
 from oracles import decompose_over_K, rank, schoolbook_mul
@@ -7,7 +9,14 @@ from oracles import decompose_over_K, rank, schoolbook_mul
 import sbcert.cyclotomic as cyclotomic
 from sbcert import linalg
 from sbcert.algebra import CyclicAlgebra
-from sbcert.cyclotomic import is_prime, k_coordinate_vector, k_inverse, make_field
+from sbcert.cyclotomic import (
+    cosets,
+    gaussian_periods,
+    is_prime,
+    k_coordinate_vector,
+    k_inverse,
+    make_field,
+)
 from sbcert.errors import (
     BadResidue,
     DivisionByZero,
@@ -21,15 +30,23 @@ from sbcert.rationals import Rat
 from sbcert.sampling import random_field_elem, random_nonzero_algebra_elem
 
 
+def _int_columns(x):
+    """Columns x * zeta^e of multiplication by x, as integers over their common den.
+
+    The den is the lcm of the columns' own dens, not taken from x.
+    """
+    field = x.field
+    cols = [x * field.zeta(e) for e in range(field.degree)]
+    den = lcm(*(c.den for c in cols))
+    return [[v * (den // c.den) for v in c.num] for c in cols], den
+
+
 def _inv_linear_solve(x):
     # invert by solving the multiplication-by-x linear system over Q
-    field = x.field
-    n = field.degree
-    cols = [(x * field.zeta(e)).coords for e in range(n)]
-    matrix = [[cols[c][r] for c in range(n)] for r in range(n)]
-    rhs = [Rat(1)] + [Rat(0)] * (n - 1)
-    sol, den = linalg.solve(matrix, rhs)
-    return field.element([Rat(y, den) for y in sol])
+    cols, den = _int_columns(x)
+    n = len(cols)
+    sol, sol_den = linalg.solve([list(row) for row in zip(*cols)], [den] + [0] * (n - 1))
+    return x.field.element([Rat(y, sol_den) for y in sol])
 
 
 def test_make_field_examples():
@@ -129,16 +146,6 @@ def test_mul_identity(field7, rng):
     assert field7.one() * x == x
 
 
-def test_field_axioms_random_triples(field7, rng):
-    for _ in range(100):
-        x = random_field_elem(field7, rng)
-        y = random_field_elem(field7, rng)
-        z = random_field_elem(field7, rng)
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-
-
 def test_inv_basics(field7):
     assert field7.one().inv() == field7.one()
     z = field7.xi()
@@ -168,9 +175,8 @@ def test_norm_values(field7, field13, rng):
             y = random_field_elem(field, rng)
             assert (x * y).norm() == x.norm() * y.norm()
             # N(x) is the determinant of multiplication by x over Q
-            n = field.degree
-            cols = [(x * field.zeta(e)).coords for e in range(n)]
-            assert x.norm() == linalg.det_rational(cols)
+            cols, den = _int_columns(x)
+            assert x.norm() == Rat(linalg.det_rational(cols), den ** len(cols))
 
 
 def test_apply_aut_identity_and_generator(field7, rng):
@@ -178,15 +184,6 @@ def test_apply_aut_identity_and_generator(field7, rng):
     assert x.apply_aut(1) == x
     z = field7.xi()
     assert z.apply_aut(field7.d) == field7.zeta(field7.d)
-
-
-def test_apply_aut_composition_law(field7, rng):
-    p = field7.p
-    for _ in range(100):
-        x = random_field_elem(field7, rng)
-        t = rng.randrange(1, p)
-        s = rng.randrange(1, p)
-        assert x.apply_aut(s).apply_aut(t) == x.apply_aut((t * s) % p)
 
 
 def test_apply_aut_is_ring_homomorphism(field7, rng):
@@ -221,31 +218,23 @@ def test_relative_norm_values(field7, rng):
     assert field7.from_rational(c).relative_norm() == field7.from_rational(c**3)
 
 
-def test_relative_norm_multiplicative_and_in_K(field7, rng):
-    for _ in range(50):
-        x = random_field_elem(field7, rng)
-        y = random_field_elem(field7, rng)
-        assert (x * y).relative_norm() == x.relative_norm() * y.relative_norm()
-        assert x.relative_norm().is_in_K()
-
-
 def test_is_in_K(field7):
     assert field7.from_rational(Rat(3, 2)).is_in_K()
     assert not field7.xi().is_in_K()
-    eta0 = field7.gaussian_periods()[0]
+    eta0 = gaussian_periods(field7)[0]
     assert eta0.is_in_K()
 
 
 def test_gaussian_periods_p7(field7):
-    assert field7.cosets() == ((1, 2, 4), (3, 5, 6))
-    eta0, eta1 = field7.gaussian_periods()
+    assert cosets(field7) == ((1, 2, 4), (3, 5, 6))
+    eta0, eta1 = gaussian_periods(field7)
     assert eta0 == field7.zeta(1) + field7.zeta(2) + field7.zeta(4)
     assert eta1 == field7.zeta(3) + field7.zeta(5) + field7.zeta(6)
     assert eta0 + eta1 == field7.from_rational(-1)
 
 
 def test_gaussian_periods_structure(field13):
-    periods = field13.gaussian_periods()
+    periods = gaussian_periods(field13)
     assert len(periods) == field13.k
     assert all(eta.is_in_K() for eta in periods)
     matrix = [list(eta.coords) for eta in periods]
@@ -253,7 +242,7 @@ def test_gaussian_periods_structure(field13):
 
 
 def test_decompose_trivial_cases(field7):
-    eta0 = field7.gaussian_periods()[0]
+    eta0 = gaussian_periods(field7)[0]
     k0, k1, k2 = decompose_over_K(eta0)
     assert (k0, k1, k2) == (eta0, field7.zero(), field7.zero())
     k0, k1, k2 = decompose_over_K(field7.xi())
@@ -277,7 +266,7 @@ def test_decompose_roundtrip(field7, field13, rng):
 def test_k_coordinates_are_integers_over_the_den(field7, field13, rng):
     for field in (field7, field13):
         k = field.k
-        periods = field.gaussian_periods()
+        periods = gaussian_periods(field)
         z = field.xi()
         for _ in range(25):
             x = random_field_elem(field, rng)
@@ -298,14 +287,14 @@ def test_k_basis_is_unimodular_up_to_103():
         inv = cyclotomic._k_basis_inverse(field)
         assert all(type(c) is int for row in inv for c in row)
         # each basis vector has a unit coordinate vector
-        basis = [eta * field.zeta(j) for j in range(3) for eta in field.gaussian_periods()]
+        basis = [eta * field.zeta(j) for j in range(3) for eta in gaussian_periods(field)]
         for c, b in enumerate(basis):
             assert k_coordinate_vector(field, b) == tuple(int(i == c) for i in range(p - 1))
 
 
 def test_k_basis_inverse_rejects_a_non_unimodular_basis(field7, monkeypatch):
-    doubled = tuple(2 * eta for eta in field7.gaussian_periods())
-    monkeypatch.setattr(cyclotomic, "_gaussian_periods", lambda field: doubled)
+    doubled = tuple(2 * eta for eta in gaussian_periods(field7))
+    monkeypatch.setattr(cyclotomic, "gaussian_periods", lambda field: doubled)
     with pytest.raises(SingularBasis):
         cyclotomic._k_basis_inverse.__wrapped__(field7)
 

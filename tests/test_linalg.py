@@ -1,6 +1,7 @@
 """Exact linear algebra helpers."""
 
 import random
+from copy import deepcopy
 
 import pytest
 from oracles import rank
@@ -11,14 +12,14 @@ from sbcert.rationals import Rat
 
 
 def _rand_matrix(rng, n, lo=-9, hi=9):
-    return [[Rat(rng.randint(lo, hi), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)]
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
 def _det_cofactor(m):
     n = len(m)
     if n == 1:
         return m[0][0]
-    total = Rat(0)
+    total = 0
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         term = m[0][j] * _det_cofactor(minor)
@@ -32,8 +33,8 @@ def _over(ints, den):
 
 
 def test_solve_known_system():
-    m = [[Rat(2), Rat(1)], [Rat(1), Rat(3)]]
-    sol = linalg.solve(m, [Rat(5), Rat(10)])
+    m = [[2, 1], [1, 3]]
+    sol = linalg.solve(m, [5, 10])
     assert sol == ([1, 3], 1)
 
 
@@ -42,7 +43,7 @@ def test_solve_random_systems():
     for n in (1, 3, 6):
         for _ in range(20):
             m = _rand_matrix(rng, n, -2, 2)  # small entries: singular and pivoting cases occur
-            b = [Rat(rng.randint(-5, 5)) for _ in range(n)]
+            b = [rng.randint(-5, 5) for _ in range(n)]
             if linalg.det_rational(m) == 0:
                 with pytest.raises(SingularMatrix):
                     linalg.solve(m, b)
@@ -52,9 +53,9 @@ def test_solve_random_systems():
 
 
 def test_solve_singular():
-    m = [[Rat(1), Rat(2)], [Rat(2), Rat(4)]]
+    m = [[1, 2], [2, 4]]
     with pytest.raises(SingularMatrix):
-        linalg.solve(m, [Rat(1), Rat(1)])
+        linalg.solve(m, [1, 1])
 
 
 def test_invert_roundtrip():
@@ -68,7 +69,7 @@ def test_invert_roundtrip():
     prod = [
         [sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)
     ]
-    assert prod == [[Rat(int(i == j)) for j in range(n)] for i in range(n)]
+    assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_det_matches_cofactor_expansion():
@@ -79,8 +80,8 @@ def test_det_matches_cofactor_expansion():
 
 
 def test_det_singular_and_identity():
-    assert linalg.det_rational([[Rat(1), Rat(2)], [Rat(2), Rat(4)]]) == 0
-    ident = [[Rat(int(i == j)) for j in range(6)] for i in range(6)]
+    assert linalg.det_rational([[1, 2], [2, 4]]) == 0
+    ident = [[int(i == j) for j in range(6)] for i in range(6)]
     assert linalg.det_rational(ident) == 1
 
 
@@ -93,7 +94,7 @@ def test_rank():
 def test_zero_leading_pivot_swaps_rows():
     assert linalg.det_rational([[0, 1], [1, 0]]) == -1
     m = [[0, 2, 1], [3, 1, 0], [1, 0, 1]]
-    assert linalg.det_rational(m) == _det_cofactor([[Rat(e) for e in row] for row in m])
+    assert linalg.det_rational(m) == _det_cofactor(m)
     assert linalg.solve(m, [3, 4, 2]) == ([1, 1, 1], 1)
 
 
@@ -107,20 +108,8 @@ def test_singular_only_at_last_pivot():
         linalg.invert(m)
 
 
-def test_solve_int_input_matches_rat_input():
-    rng = random.Random(13)
-    for n in (1, 2, 4, 7):
-        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        while linalg.det_rational(m) == 0:
-            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        b = [rng.randint(-9, 9) for _ in range(n)]
-        y, den = linalg.solve(m, b)
-        assert all(type(v) is int for v in y) and type(den) is int
-        assert (y, den) == linalg.solve([[Rat(e) for e in row] for row in m], [Rat(e) for e in b])
-
-
 def test_invert_with_row_swaps():
-    m = [[0, 1, 2], [0, 3, 4], [Rat(1, 2), 5, 6]]
+    m = [[0, 1, 2], [0, 3, 4], [1, 5, 6]]  # det = -2
     rows, den = linalg.invert(m)
     inv = [_over(row, den) for row in rows]
     n = len(m)
@@ -140,7 +129,29 @@ def test_answers_are_ints_over_a_positive_den():
     assert (y, den) == ([-4, 3], 2)
     rows, den = linalg.invert(m)
     assert (rows, den) == ([[-4, 2], [3, -1]], 2)
-    assert all(type(v) is int for v in [den, *y, *rows[0], *rows[1]])
+    assert all(type(v) is int for v in [linalg.det_rational(m), den, *y, *rows[0], *rows[1]])
     # lowest terms: the answer to 2 m x = 2 b is the same pair
     assert linalg.solve([[2, 4], [6, 8]], [2, 0]) == ([-4, 3], 2)
     assert linalg.solve([[0, 1], [1, 0]], [3, 4]) == ([4, 3], 1)
+
+
+def test_int_entries_only_and_caller_rows_unchanged():
+    m = [[0, 2, 1], [3, 1, 0], [1, 0, 1]]  # det = -7; the zero pivot swaps rows
+    b = [3, 4, 2]
+    before = deepcopy((m, b))
+    assert linalg.solve(m, b) == ([1, 1, 1], 1)
+    assert linalg.invert(m)[1] == 7
+    assert linalg.det_rational(m) == -7
+    assert (m, b) == before
+    # the exact divisions would floor a Fraction; a bool is not an entry
+    for bad in (Rat(1, 2), Rat(2), True):
+        bad_m = [[bad, 2, 1], *m[1:]]
+        calls = [
+            lambda: linalg.solve(bad_m, b),
+            lambda: linalg.solve(m, [3, bad, 2]),
+            lambda: linalg.invert(bad_m),
+            lambda: linalg.det_rational(bad_m),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
