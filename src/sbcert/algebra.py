@@ -27,27 +27,22 @@ from math import lcm
 from . import linalg
 from .cyclotomic import CycloField, FieldElem, k_inverse
 from .errors import DivisionByZero, NotInvertible, ParamMismatch
-from .obstruction import is_cube_mod_p
-from .rationals import Rat, as_rat
+from .rationals import Rat
 
 
 class CyclicAlgebra:
-    """Parameters (field, a) of the algebra; a is a nonzero rational in K."""
+    """Parameters (field, a) of the algebra; a is a nonzero int."""
 
-    __slots__ = ("field", "a", "division_certified")
+    __slots__ = ("field", "a")
 
-    def __init__(self, field: CycloField, a):
-        a = as_rat(a)
+    def __init__(self, field: CycloField, a: int):
+        # type() is int, not isinstance: a bool is an int, but not a parameter
+        if type(a) is not int:
+            raise TypeError(f"a = {a!r} is a {type(a).__name__}; the parameter must be an int")
         if not a:
             raise ValueError("parameter a must be nonzero")
         self.field = field
         self.a = a
-        # division certified iff a is an integer unit mod p with non-cube residue
-        self.division_certified = (
-            a.denominator == 1
-            and a.numerator % field.p != 0
-            and not is_cube_mod_p(a.numerator, field.p)
-        )
 
     def __eq__(self, other):
         return (
@@ -149,8 +144,6 @@ class AlgebraElem:
 
     def scale(self, factor) -> "AlgebraElem":
         """Multiply every component by a scalar from L (or a rational)."""
-        if not isinstance(factor, FieldElem):
-            factor = self.algebra.field.from_rational(factor)
         return AlgebraElem(
             self.algebra, self.x0 * factor, self.x1 * factor, self.x2 * factor
         )
@@ -249,11 +242,9 @@ class AlgebraElem:
         field, a = self.algebra.field, self.algebra.a
         p, n = field.p, field.degree
         dx = lcm(self.x0.den, self.x1.den, self.x2.den)
-        # over the denominator dx * a.denominator, a block that wraps past
-        # alpha^2 carries a.numerator and the others a.denominator
-        scales = (a.denominator, a.numerator)
+        # over the denominator dx, a block that wraps past alpha^2 carries a
         blocks = [
-            [[c * (dx // z.den) * s for c in z.num + (0,)] for s in scales]
+            [[c * (dx // z.den) * s for c in z.num + (0,)] for s in (1, a)]
             for z in self.components
         ]
         d_inv = pow(field.d, -1, p)
@@ -269,7 +260,7 @@ class AlgebraElem:
                     top = v[n - m]
                     row.extend([v[k - m] - top for k in range(n)])
                 rows.append(row)
-        return rows, dx * a.denominator
+        return rows, dx
 
     def regular_rep_det(self) -> Rat:
         """Exact determinant of left multiplication by x on A as a Q-space.

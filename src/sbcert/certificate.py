@@ -15,7 +15,6 @@ from typing import Optional
 from .cyclotomic import FieldElem
 from .obstruction import ObstructionReport
 from .projective import GroupReport
-from .rationals import rat_str
 
 SCHEMA_VERSION = "1.0"
 
@@ -77,7 +76,7 @@ def _encode(value):
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if isinstance(value, FieldElem):
-        return [rat_str(c) for c in value.coords]
+        return [str(c) for c in value.coords]  # a Fraction prints as "n" or "n/d"
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return value  # a str, a bool or None
     return _int_field(value)  # an int, or a float of wall-clock ms, truncated

@@ -207,14 +207,9 @@ class FieldElem:
     def __neg__(self):
         return FieldElem(self.field, tuple(-c for c in self.num), self.den)
 
-    def _scaled(self, q) -> "FieldElem":
-        q = as_rat(q)
-        n = q.numerator
-        return _reduced(self.field, [c * n for c in self.num], self.den * q.denominator)
-
     def __mul__(self, other):
-        if not isinstance(other, FieldElem):
-            return self._scaled(other)
+        if isinstance(other, int):
+            return _reduced(self.field, [c * other for c in self.num], self.den)
         other = self._check(other)
         n = self.field.degree
         xs, ys = self.num, other.num

@@ -11,7 +11,6 @@ independent (inherently incomplete) negative evidence.
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 from .cyclotomic import CycloField, FieldElem
@@ -27,19 +26,22 @@ def cubes_mod_p(p: int) -> frozenset:
 
 def is_cube_mod_p(a: int, p: int) -> bool:
     """Euler-style criterion: a is a cube mod p iff a^((p-1)/3) = 1 (mod p)."""
-    a = int(a)
     if a % p == 0:
         raise BadResidue(f"{a} is divisible by {p}")
     return pow(a, (p - 1) // 3, p) == 1
 
 
+def certifies_division(a: int, p: int) -> bool:
+    """Whether the integer a is a unit mod p with a non-cube residue.
+
+    Then the cyclic algebra built from a is division (the imported lemma).
+    """
+    return a % p != 0 and not is_cube_mod_p(a, p)
+
+
 def choose_a(p: int) -> int:
-    """Smallest integer a >= 2 coprime to p whose residue is a non-cube."""
-    cubes = cubes_mod_p(p)
-    for a in itertools.count(2):
-        if gcd(a, p) == 1 and a % p not in cubes:
-            return a
-    raise AssertionError("unreachable: cubes have index 3")
+    """Smallest integer a >= 2 that certifies division at p."""
+    return next(a for a in itertools.count(2) if certifies_division(a, p))
 
 
 def search_candidate_count(field: CycloField, bound: int) -> int:
@@ -86,7 +88,9 @@ class ObstructionReport:
 
     @property
     def certificate_grade(self) -> bool:
-        return not self.is_cube and self.witness_found is None
+        # a cube by the power criterion or by the enumerated set fails the grade
+        cube = self.is_cube or self.a % self.p in self.cubes_mod_p
+        return not cube and self.witness_found is None
 
 
 def obstruction_report(field: CycloField, a: int, bound: int) -> ObstructionReport:

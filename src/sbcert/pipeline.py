@@ -19,7 +19,7 @@ from .algebra import CyclicAlgebra
 from .certificate import Certificate
 from .cyclotomic import make_field
 from .errors import BadSearchBound, BadSeed, BadTrialCount, NotInvertible, RejectedOverride
-from .obstruction import choose_a, is_cube_mod_p, obstruction_report
+from .obstruction import certifies_division, choose_a, obstruction_report
 from .projective import group_report
 from .sampling import random_algebra_elem, random_field_elem, random_nonzero_algebra_elem
 
@@ -46,17 +46,11 @@ def _validate_counts(opts: PipelineOptions) -> None:
 def _validate_override(p: int, a: int) -> int:
     if not isinstance(a, int):
         raise RejectedOverride(f"a = {a!r} is not an int; the parameter must be an integer")
-    if a == 0:
-        raise RejectedOverride("a = 0 is not a unit; the algebra needs a nonzero parameter")
-    if a % p == 0:
+    if not certifies_division(a, p):
+        why = "is not a unit" if a % p == 0 else "is a cube"
         raise RejectedOverride(
-            f"a = {a} is divisible by p = {p}; the cube-residue obstruction "
-            "needs a unit modulo p"
-        )
-    if is_cube_mod_p(a, p):
-        raise RejectedOverride(
-            f"a = {a} is a cube modulo p = {p}, so it may be a norm and the "
-            "division property cannot be certified; pick a non-cube residue"
+            f"a = {a} {why} modulo p = {p}; certifying the division property "
+            "needs a unit with a non-cube residue"
         )
     return a
 
@@ -105,7 +99,7 @@ def run_algebra_checks(algebra: CyclicAlgebra, seed: int, trials: int) -> dict:
 
     return {
         "seed": seed,
-        "division_certified": algebra.division_certified,
+        "division_certified": certifies_division(algebra.a, f.p),
         "relation_lambda_alpha": _trials(
             trials, lam, 1, lambda y: embed(y) * al == al * embed(y.sigma(1))
         ),

@@ -3,9 +3,9 @@
 Field arithmetic and K-coordinates are integers over one denominator
 (see cyclotomic.py), and linalg.py takes integer matrices only, so
 rationals only appear where values enter or leave: coordinates given to or
-read from a field element, the algebra parameter, a determinant and the
-certificate.  Rat is fractions.Fraction, always in lowest terms with a
-positive denominator.  No floating point enters anywhere.
+read from a field element, a determinant and the certificate.  Rat is
+fractions.Fraction, always in lowest terms with a positive denominator.
+No floating point enters anywhere.
 """
 
 from fractions import Fraction as Rat
@@ -23,14 +23,6 @@ def as_rat(value) -> Rat:
     if isinstance(value, float):
         raise TypeError(f"{value!r} is a float; give an exact int, string or fraction")
     return Rat(value)
-
-
-def rat_str(q) -> str:
-    """Canonical decimal-string form: "n" for integers, "n/d" otherwise."""
-    q = as_rat(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def ints_over_den(values):

@@ -8,6 +8,7 @@ from oracles import inverse_via_solve, mat_mul
 from sbcert.algebra import AlgebraElem, CyclicAlgebra
 from sbcert.cyclotomic import gaussian_periods, make_field
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch
+from sbcert.obstruction import certifies_division
 from sbcert.rationals import Rat
 from sbcert.sampling import (
     random_algebra_elem,
@@ -139,7 +140,7 @@ def test_inverse_routes_agree(alg7, rng):
 def test_split_parameter_has_zero_divisors(field7):
     # a = 1 is a cube, the algebra splits, and alpha - 1 kills the norm form
     split = CyclicAlgebra(field7, 1)
-    assert not split.division_certified
+    assert not certifies_division(split.a, 7)
     zd = split.element(-1, 1, 0)
     assert zd.reduced_norm() == field7.zero()
     assert zd.regular_rep_det() == 0
@@ -150,10 +151,14 @@ def test_split_parameter_has_zero_divisors(field7):
 
 
 def test_division_certified_flag(field7):
-    assert CyclicAlgebra(field7, 2).division_certified
-    assert not CyclicAlgebra(field7, 6).division_certified  # cube residue
-    assert not CyclicAlgebra(field7, 7).division_certified  # not a unit mod p
-    assert not CyclicAlgebra(field7, Rat(1, 2)).division_certified  # not integral
+    assert certifies_division(2, 7) and certifies_division(-5, 7)
+    assert not certifies_division(6, 7)  # cube residue
+    assert not certifies_division(7, 7)  # not a unit mod p
+    assert not certifies_division(1, 7)
+    # the parameter is a nonzero int: no Fraction (even an integral one), float or bool
+    for a in (Rat(1, 2), Rat(2), 2.0, True):
+        with pytest.raises(TypeError):
+            CyclicAlgebra(field7, a)
     with pytest.raises(ValueError):
         CyclicAlgebra(field7, 0)
 

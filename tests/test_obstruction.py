@@ -96,3 +96,11 @@ def test_obstruction_report(field7):
     witnessed = obstruction_report(field7, 8, 2)
     assert witnessed.witness_found == field7.from_rational(2)
     assert not witnessed.certificate_grade
+
+
+def test_grade_checks_the_enumerated_cube_set(field7, monkeypatch):
+    # a power criterion that calls every residue a non-cube is caught by the set
+    monkeypatch.setattr("sbcert.obstruction.is_cube_mod_p", lambda a, p: False)
+    rep = obstruction_report(field7, 6, 0)
+    assert not rep.is_cube and 6 in rep.cubes_mod_p
+    assert not rep.certificate_grade
