@@ -5,10 +5,12 @@ basis {1, zeta, ..., zeta^(p-2)}, kept in the unique reduced form where
 zeta^(p-1) has been rewritten as -(1 + zeta + ... + zeta^(p-2)).  An element
 is a length-(p-1) vector of integers over one positive denominator, reduced
 so that the denominator shares no factor with all the integers (Cohen, A
-Course in Computational Algebraic Number Theory, 4.2): multiplication is an
-integer convolution, a fold by Phi_p and one gcd, and every automorphism is
-a permutation of the vector.  The exact rational coordinates are derived
-from that form when asked for.  The Galois group acts by
+Course in Computational Algebraic Number Theory, 4.2): multiplication is one
+product of Kronecker-packed integers, wrapped at zeta^p = 1 while still
+packed so that only p slots are unpacked, a fold by Phi_p and one gcd (a
+zero factor returns at once), and every automorphism is a permutation of
+the vector.  The exact rational coordinates are derived from that form
+when asked for.  The Galois group acts by
 zeta^i -> zeta^(t*i mod p).  The residue d of multiplicative order 3 picks
 out the automorphism s = (zeta -> zeta^d) whose fixed field K has index 3
 in L; Gaussian periods over the cosets of {1, d, d^2} give a Q-basis of K,
@@ -25,7 +27,7 @@ is safe to share between threads.
 
 import functools
 from math import gcd, isqrt
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 
 from . import linalg
 from .errors import (
@@ -186,12 +188,21 @@ class FieldElem:
         return self.field.from_rational(other)
 
     def _plus(self, other, sign: int) -> "FieldElem":
+        """self + sign * other for sign in {1, -1}; a zero operand costs no arithmetic."""
         other = self._check(other)
+        if not any(other.num):
+            return self
+        if not any(self.num):
+            return other if sign > 0 else -other
         dx, dy = self.den, other.den
-        g = gcd(dx, dy)
-        fx, fy = dy // g, dx // g
-        num = [a * fx + sign * b * fy for a, b in zip(self.num, other.num)]
-        return _reduced(self.field, num, dx * fx)
+        if dx == dy:
+            num = list(map(add if sign > 0 else sub, self.num, other.num))
+        else:
+            g = gcd(dx, dy)
+            fx, fy = dy // g, sign * (dx // g)
+            num = [a * fx + b * fy for a, b in zip(self.num, other.num)]
+            dx *= fx
+        return _reduced(self.field, num, dx)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -211,19 +222,24 @@ class FieldElem:
         if isinstance(other, int):
             return _reduced(self.field, [c * other for c in self.num], self.den)
         other = self._check(other)
-        n = self.field.degree
         xs, ys = self.num, other.num
-        bound = max(map(abs, xs)) * max(map(abs, ys))
-        if not bound:
-            return self.field.zero()
-        # Kronecker substitution: one integer product of the packed vectors,
-        # with slots wide enough for any convolution coefficient and its sign
-        width = (bound * n).bit_length() + 2
-        conv = _unpack(_pack(xs, width) * _pack(ys, width), width, 2 * n - 1)
-        # exponents >= p wrap (zeta^p = 1); exponent p-1 folds via Phi_p
-        out = conv[:n]
-        out[: n - 2] = map(add, out[: n - 2], conv[n + 1 :])
-        top = conv[n]
+        if not any(xs):
+            return self
+        if not any(ys):
+            return other
+        p = self.field.p
+        # Kronecker substitution: one integer product of the packed vectors, with
+        # slots wide enough for any coefficient (p - 1 products at most) and its sign
+        width = (max(map(abs, xs)) * max(map(abs, ys)) * (p - 1)).bit_length() + 2
+        prod = _pack(xs, width) * _pack(ys, width)
+        # zeta^p = 1: the slots from p up add onto the low p slots, split off as a
+        # signed integer, before unpacking; then exponent p - 1 folds via Phi_p
+        split = width * p
+        low = prod & ((1 << split) - 1)
+        if low >> (split - 1):
+            low -= 1 << split
+        out = _unpack(low + ((prod - low) >> split), width, p)
+        top = out.pop()
         if top:
             out = [c - top for c in out]
         return _reduced(self.field, out, self.den * other.den)
@@ -303,20 +319,21 @@ class FieldElem:
             raise BadResidue(f"t = {t} is not a unit modulo {p}")
         if t == 1:
             return self
-        acc = _aut_gather(p, t)(self.num + (0,))
-        top = acc[p - 1]
-        num = tuple(c - top for c in acc[: p - 1]) if top else acc[: p - 1]
-        return FieldElem(self.field, num, self.den)
+        return self._permuted(_aut_gather(p, t))
 
     def sigma(self, power: int = 1) -> "FieldElem":
         """The distinguished order-3 automorphism s = apply_aut(d), iterated."""
-        return self.apply_aut(pow(self.field.d, power % 3, self.field.p))
+        return self._permuted(_aut_gather(self.field.p, self.field.d, power % 3))
+
+    def _permuted(self, gather) -> "FieldElem":
+        acc = gather(self.num + (0,))
+        top = acc[-1]
+        num = tuple(c - top for c in acc[:-1]) if top else acc[:-1]
+        return FieldElem(self.field, num, self.den)
 
     def relative_norm(self) -> "FieldElem":
         """x * s(x) * s^2(x); always lands in the fixed field K."""
-        s1 = self.sigma(1)
-        s2 = s1.sigma(1)
-        return self * s1 * s2
+        return self * self.sigma(1) * self.sigma(2)
 
     def is_in_K(self) -> bool:
         """True iff the element is fixed by s, i.e. lies in the index-3 subfield."""
@@ -324,10 +341,10 @@ class FieldElem:
 
 
 @functools.lru_cache(maxsize=None)
-def _aut_gather(p: int, t: int):
-    # exponent e of the image comes from exponent e / t (mod p); the source
-    # exponent p - 1 is the zero the caller appends to the vector
-    t_inv = pow(t, -1, p)
+def _aut_gather(p: int, t: int, power: int = 1):
+    # for zeta -> zeta^(t^power), exponent e of the image comes from exponent
+    # e / t^power (mod p); the source exponent p - 1 is the appended zero
+    t_inv = pow(t, -power, p)
     return itemgetter(*[(e * t_inv) % p for e in range(p)])
 
 

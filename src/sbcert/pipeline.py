@@ -55,13 +55,10 @@ def _validate_override(p: int, a: int) -> int:
     return a
 
 
-def _mat_mul(field, lhs, rhs):
+def _mat_mul(lhs, rhs):
     return tuple(
-        tuple(
-            sum((lhs[i][k] * rhs[k][j] for k in range(3)), field.zero())
-            for j in range(3)
-        )
-        for i in range(3)
+        tuple(l0 * r0 + l1 * r1 + l2 * r2 for r0, r1, r2 in zip(*rhs))
+        for l0, l1, l2 in lhs
     )
 
 
@@ -107,7 +104,7 @@ def run_algebra_checks(algebra: CyclicAlgebra, seed: int, trials: int) -> dict:
         "xi_alpha_twist": embed(xi) * al == al * embed(xi**f.d),
         "associativity": _trials(trials, elem, 3, lambda x, y, z: (x * y) * z == x * (y * z)),
         "splitting_multiplicativity": _trials(
-            trials, elem, 2, lambda x, y: _mat_mul(f, split(x), split(y)) == split(x * y)
+            trials, elem, 2, lambda x, y: _mat_mul(split(x), split(y)) == split(x * y)
         ),
         "reduced_norm_in_fixed_field": _trials(trials, elem, 1, lambda x: nrd(x).is_in_K()),
         "reduced_norm_multiplicativity": _trials(

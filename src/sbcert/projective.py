@@ -190,8 +190,9 @@ def semidirect_table(p: int, d: int) -> list:
     if d % p in (0, 1) or pow(d, 3, p) != 1:
         raise ValueError(f"d = {d} does not have order 3 modulo {p}")
     pairs = [(u, v) for u in range(p) for v in range(3)]
+    twist = [pow(d, v, p) for v in range(3)]
     return [
-        [3 * ((u1 + pow(d, v1, p) * u2) % p) + (v1 + v2) % 3 for u2, v2 in pairs]
+        [3 * ((u1 + twist[v1] * u2) % p) + (v1 + v2) % 3 for u2, v2 in pairs]
         for u1, v1 in pairs
     ]
 

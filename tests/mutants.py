@@ -1,0 +1,148 @@
+"""Mutation-kill suite: each row breaks the package in one place, and its tests must fail.
+
+Run from the repository root:
+
+    python tests/mutants.py
+
+Its name does not start with test_, so the tier-1 run does not collect it.
+Each row names a file under src/sbcert, an old text that must occur in it
+exactly once, the text that replaces it, and the test node ids that must
+kill the mutant.  First the node ids of every row must pass on an
+unmutated copy of src/.  Then, one row at a time, a fresh copy of src/ is
+mutated and pytest runs that row's node ids with the copy first on
+PYTHONPATH; the mutant counts as killed only when pytest exits 1 (tests
+failed).  Any other exit code, or an old text that does not match exactly
+once, fails the run, so a refactor of a mutated line must update its row.
+The exit status is 0 only when every mutant is killed.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# a mutant that loops instead of failing must not hang the run
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/sbcert
+    old: str
+    new: str
+    node_ids: tuple
+
+
+MUTANTS = (
+    Mutant(
+        "the signed correction of the product's low block dropped",
+        "cyclotomic.py",
+        "        if low >> (split - 1):\n            low -= 1 << split\n",
+        "",
+        (
+            "tests/test_cyclotomic.py::test_mul_with_a_negative_low_block_matches_schoolbook_oracle",
+            "tests/test_field_properties.py::test_mul_matches_schoolbook_oracle",
+        ),
+    ),
+    Mutant(
+        "the packed product split at slot p - 1",
+        "cyclotomic.py",
+        "split = width * p\n",
+        "split = width * (p - 1)\n",
+        (
+            "tests/test_cyclotomic.py::test_mul_reduction_cases",
+            "tests/test_cyclotomic.py::test_mul_with_a_negative_low_block_matches_schoolbook_oracle",
+            "tests/test_field_properties.py::test_mul_matches_schoolbook_oracle",
+        ),
+    ),
+    Mutant(
+        "0 - x returns x",
+        "cyclotomic.py",
+        "return other if sign > 0 else -other\n",
+        "return other\n",
+        ("tests/test_cyclotomic.py::test_plus_with_zero_and_equal_denominators",),
+    ),
+    Mutant(
+        "sigma(2) for sigma(1) in the x2 * y2 term of the algebra product",
+        "algebra.py",
+        "x2 * y2.sigma(1) * a",
+        "x2 * y2.sigma(2) * a",
+        (
+            "tests/test_algebra.py::test_mul_identity_and_associativity",
+            "tests/test_algebra_laws.py::test_associativity_on_basis[a=2]",
+        ),
+    ),
+    Mutant(
+        "the row scales of regular_rep_rows swapped",
+        "algebra.py",
+        "for s in (1, a)]",
+        "for s in (a, 1)]",
+        (
+            "tests/test_algebra.py::test_regular_rep_det_values",
+            "tests/test_algebra_laws.py::test_regular_rep_rows_on_basis[a=2]",
+        ),
+    ),
+    Mutant(
+        "_encode without _int_field",
+        "certificate.py",
+        "    return _int_field(value)",
+        "    return value",
+        ("tests/test_certificate_cli.py::test_wide_ints_are_strings_in_every_block",),
+    ),
+)
+
+
+def _pytest(src: Path, node_ids) -> int:
+    """pytest's exit code on node_ids, importing the package from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *node_ids]
+    done = subprocess.run(cmd, cwd=ROOT, env=env, timeout=TIMEOUT_S,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode
+
+
+def _mutated_copy(mutant: Mutant, scratch: Path) -> Path:
+    """A copy of src/ under scratch with mutant applied; ValueError unless old occurs once."""
+    src = scratch / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "sbcert" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.file}: old text occurs {count} times, expected once")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return src
+
+
+def main() -> int:
+    start = time.monotonic()
+    node_ids = sorted({n for m in MUTANTS for n in m.node_ids})
+    code = _pytest(ROOT / "src", node_ids)
+    if code != 0:
+        print(f"FAIL    the unmutated package: pytest exit {code}, expected 0")
+        return 1
+    survivors = 0
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory(prefix="sbcert-mutant-") as scratch:
+            try:
+                code = _pytest(_mutated_copy(mutant, Path(scratch)), mutant.node_ids)
+            except ValueError as exc:
+                code, why = None, str(exc)
+            else:
+                why = f"pytest exit {code}, expected 1"
+        killed = code == 1
+        survivors += not killed
+        print(f"{'killed' if killed else 'FAIL  '}  {mutant.name}" + ("" if killed else f": {why}"))
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
+          f"in {time.monotonic() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -140,6 +140,64 @@ def test_mul_by_zero_is_the_reduced_zero(field7, field13, rng):
             assert monomial * monomial == schoolbook_mul(field, monomial, monomial)
 
 
+def _low_block_sign(x, y):
+    """Sign of the unwrapped convolution's exponents 0 .. p - 1 as one packed integer.
+
+    Slot bounds make that integer take the sign of its top nonzero slot.
+    """
+    p = x.field.p
+    conv = [0] * p
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num):
+            if i + j < p:
+                conv[i + j] += a * b
+    top = next((c for c in reversed(conv) if c), 0)
+    return (top > 0) - (top < 0)
+
+
+def test_mul_with_a_negative_low_block_matches_schoolbook_oracle(field7, field13, rng):
+    # the packed product is split at slot p with a signed low part; each of
+    # these has a negative low part, with and without slots above p - 1
+    cases = []
+    for field in (field7, field13):
+        n = field.degree
+        z = field.xi()
+        cases += [
+            (field.from_rational(-1), z),
+            (-z, field.zeta(n - 1)),
+            (field.element([0] * (n - 1) + [3]), field.element([-2] + [0] * (n - 3) + [5, 0])),
+            (field.element([Rat(-7, 2)] * n), field.element([Rat(1, 3)] * n)),
+        ]
+        for _ in range(10):
+            x, y = random_nonzero_field_elem(field, rng), random_nonzero_field_elem(field, rng)
+            cases.append((x, -y if _low_block_sign(x, y) > 0 else y))
+    for x, y in cases:
+        assert _low_block_sign(x, y) < 0
+        assert x * y == schoolbook_mul(x.field, x, y)
+
+
+def test_plus_with_zero_and_equal_denominators(field7, field13, rng):
+    for field in (field7, field13):
+        zero = field.zero()
+        for _ in range(10):
+            x = random_nonzero_field_elem(field, rng)
+            assert x + zero == x
+            assert zero + x == x
+            assert x - zero == x
+            assert zero - x == -x
+            assert x - x == zero and (x - x).den == 1
+        half = field.from_rational(Rat(1, 2))
+        assert half + half == field.one() and (half + half).den == 1
+        # equal denominators, and a sum whose content cancels part of it
+        u = field.element([Rat(1, 4), Rat(1, 4)] + [0] * (field.degree - 2))
+        v = field.element([Rat(3, 4), Rat(-5, 4)] + [0] * (field.degree - 2))
+        assert u.den == v.den == 4
+        assert (u + v).coords == (Rat(1), Rat(-1)) + (Rat(0),) * (field.degree - 2)
+        assert (u + v).den == 1
+        assert (u - v).coords == (Rat(-1, 2), Rat(3, 2)) + (Rat(0),) * (field.degree - 2)
+        assert (u - v).den == 2
+
+
 def test_mul_identity(field7, rng):
     x = random_field_elem(field7, rng)
     assert x * field7.one() == x
