@@ -3,29 +3,30 @@
 Elements are stored as three L-components (x0, x1, x2) meaning
 x0 + x1*alpha + x2*alpha^2, where alpha^3 = a and lambda*alpha =
 alpha*s(lambda) for the order-3 automorphism s.  Moving alpha left past a
-coefficient therefore applies s^-1 = s^2, which gives the product
+coefficient therefore applies s^-1 = s^2, so row i of the splitting
+matrix M(y), the components of alpha^i * y, is
 
-    z0 = x0*y0 + a*(x1*s^2(y2) + x2*s(y1))
-    z1 = x0*y1 + x1*s^2(y0) + a*x2*s(y2)
-    z2 = x0*y2 + x1*s^2(y1) + x2*s(y0)
+    row 0 = (y0,         y1,       y2)
+    row 1 = (a*s^2(y2),  s^2(y0),  s^2(y1))
+    row 2 = (a*s(y1),    a*s(y2),  s(y0))
 
-(the defining relation tests in the suite pin this convention down; the
-transposed s/s^2 variant fails lambda*alpha = alpha*s(lambda)).
+and the product is the row vector x * y = (x0, x1, x2) M(y).  The
+transposed s/s^2 twist is still associative but fails lambda*alpha =
+alpha*s(lambda), which the defining relation tests check.
 
-The splitting matrix M(x) encodes right multiplication on the left-L basis
-{1, alpha, alpha^2}; with rows ordered that way M is multiplicative, its
-determinant is the reduced norm Nrd(x), and the first row of its adjugate
-over Nrd(x) is x^-1.  Left multiplication on A as a Q-space of dimension
-3(p-1) has determinant N_{K/Q}(Nrd x)^3, an exact identity the pipeline
-checks against the norm of L.  Its matrix is built by index shifts: the
-image of zeta^e alpha^c is each x_i rotated by a power of zeta (times a
-where alpha wraps), so the check forms no algebra product.
+M is right multiplication on the left-L basis {1, alpha, alpha^2}: it is
+multiplicative, its determinant is the reduced norm Nrd(x), and the first
+row of its adjugate over Nrd(x) is x^-1.  Left multiplication on A as a
+Q-space of dimension 3(p-1) has determinant N_{K/Q}(Nrd x)^3, an exact
+identity the pipeline checks against the norm of L.  Its matrix is built
+by index shifts: the image of zeta^e alpha^c is each x_i rotated by a
+power of zeta (times a where alpha wraps), so it takes no algebra product.
 """
 
 from math import lcm
 
 from . import linalg
-from .cyclotomic import CycloField, FieldElem, k_inverse
+from .cyclotomic import CycloField, FieldElem, _power, k_inverse
 from .errors import DivisionByZero, NotInvertible, ParamMismatch
 from .rationals import Rat
 
@@ -126,21 +127,22 @@ class AlgebraElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        a = self.algebra.a
-        x0, x1, x2 = self.x0, self.x1, self.x2
-        y0, y1, y2 = other.x0, other.x1, other.x2
-        z0 = x0 * y0
-        z1 = x0 * y1
-        z2 = x0 * y2
-        if x1:
-            z0 = z0 + x1 * y2.sigma(2) * a
-            z1 = z1 + x1 * y0.sigma(2)
-            z2 = z2 + x1 * y1.sigma(2)
-        if x2:
-            z0 = z0 + x2 * y1.sigma(1) * a
-            z1 = z1 + x2 * y2.sigma(1) * a
-            z2 = z2 + x2 * y0.sigma(1)
+        # x0 * row 0 even when x0 is zero: a zero factor makes those products free
+        m0, m1, m2 = other._row(0)
+        z0, z1, z2 = self.x0 * m0, self.x0 * m1, self.x0 * m2
+        for i, x in ((1, self.x1), (2, self.x2)):
+            if x:
+                m0, m1, m2 = other._row(i)
+                z0, z1, z2 = z0 + x * m0, z1 + x * m1, z2 + x * m2
         return AlgebraElem(self.algebra, z0, z1, z2)
+
+    def _row(self, i: int) -> tuple:
+        """Row i of the splitting matrix: the components of alpha^i * self."""
+        if not i:
+            return self.x0, self.x1, self.x2
+        a, k = self.algebra.a, 3 - i
+        t0, t1, t2 = self.x0.sigma(k), self.x1.sigma(k), self.x2.sigma(k)
+        return (t2 * a, t0, t1) if i == 1 else (t1 * a, t2 * a, t0)
 
     def scale(self, factor) -> "AlgebraElem":
         """Multiply every component by a scalar from L (or a rational)."""
@@ -151,14 +153,7 @@ class AlgebraElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError(f"negative exponent {e}; use inverse()")
-        result = self.algebra.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.algebra.one())
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElem):
@@ -182,15 +177,7 @@ class AlgebraElem:
         Multiplicative: M(x*y) = M(x)*M(y), M(1) = I (checked exhaustively
         by the randomized suite, which is what fixes the row convention).
         """
-        a = self.algebra.a
-        x0, x1, x2 = self.x0, self.x1, self.x2
-        s_x0, s_x1, s_x2 = x0.sigma(1), x1.sigma(1), x2.sigma(1)
-        s2_x0, s2_x1, s2_x2 = s_x0.sigma(1), s_x1.sigma(1), s_x2.sigma(1)
-        return (
-            (x0, x1, x2),
-            (s2_x2 * a, s2_x0, s2_x1),
-            (s_x1 * a, s_x2 * a, s_x0),
-        )
+        return self._row(0), self._row(1), self._row(2)
 
     def _cofactors(self):
         """First-column cofactors of the splitting matrix, and its determinant."""

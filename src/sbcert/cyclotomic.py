@@ -149,6 +149,17 @@ def _unpack(z: int, width: int, count: int) -> list:
     return out
 
 
+def _power(base, e: int, one):
+    """base ** e for e >= 0 by square-and-multiply, starting from one."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
+
+
 def _reduced(field: CycloField, num, den: int) -> "FieldElem":
     """The element num / den in lowest terms; den must be positive."""
     if den != 1:
@@ -249,14 +260,7 @@ class FieldElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError(f"negative exponent {e}; use inv()")
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.field.one())
 
     def __eq__(self, other):
         # field elements only: a rational never equals one, as their hashes differ

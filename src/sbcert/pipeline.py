@@ -44,7 +44,7 @@ def _validate_counts(opts: PipelineOptions) -> None:
 
 
 def _validate_override(p: int, a: int) -> int:
-    if not isinstance(a, int):
+    if type(a) is not int:  # a bool is an int to isinstance, not a parameter
         raise RejectedOverride(f"a = {a!r} is not an int; the parameter must be an integer")
     if not certifies_division(a, p):
         why = "is not a unit" if a % p == 0 else "is a cube"

@@ -38,6 +38,12 @@ class Mutant(NamedTuple):
     node_ids: tuple
 
 
+# a wrong entry in a row of the splitting matrix breaks associativity
+_ASSOCIATIVITY = (
+    "tests/test_algebra.py::test_mul_identity_and_associativity",
+    "tests/test_algebra_laws.py::test_associativity_on_basis[a=2]",
+)
+
 MUTANTS = (
     Mutant(
         "the signed correction of the product's low block dropped",
@@ -68,13 +74,70 @@ MUTANTS = (
         ("tests/test_cyclotomic.py::test_plus_with_zero_and_equal_denominators",),
     ),
     Mutant(
-        "sigma(2) for sigma(1) in the x2 * y2 term of the algebra product",
-        "algebra.py",
-        "x2 * y2.sigma(1) * a",
-        "x2 * y2.sigma(2) * a",
+        "the Phi_p fold hard-coded to p = 7",
+        "cyclotomic.py",
+        "out = _unpack(low + ((prod - low) >> split), width, p)",
+        "out = _unpack(low + ((prod - low) >> split), width, 7)",
         (
-            "tests/test_algebra.py::test_mul_identity_and_associativity",
-            "tests/test_algebra_laws.py::test_associativity_on_basis[a=2]",
+            "tests/test_cyclotomic.py::test_mul_matches_schoolbook_oracle",
+            "tests/test_field_properties.py::test_mul_matches_schoolbook_oracle",
+        ),
+    ),
+    Mutant(
+        "row 1 of the splitting matrix without its a",
+        "algebra.py",
+        "(t2 * a, t0, t1)",
+        "(t2, t0, t1)",
+        _ASSOCIATIVITY,
+    ),
+    Mutant(
+        "the middle a of row 2 of the splitting matrix dropped",
+        "algebra.py",
+        "(t1 * a, t2 * a, t0)",
+        "(t1 * a, t2, t0)",
+        _ASSOCIATIVITY,
+    ),
+    Mutant(
+        "row 1 of the splitting matrix permuted",
+        "algebra.py",
+        "(t2 * a, t0, t1)",
+        "(t2 * a, t1, t0)",
+        _ASSOCIATIVITY,
+    ),
+    Mutant(
+        "the algebra product subtracts the x1 and x2 rows",
+        "algebra.py",
+        "z0 + x * m0, z1 + x * m1, z2 + x * m2",
+        "z0 - x * m0, z1 - x * m1, z2 - x * m2",
+        _ASSOCIATIVITY,
+    ),
+    Mutant(
+        # the opposite algebra is associative too: only the defining relation sees it
+        "the transposed s/s^2 twist of rows 1 and 2",
+        "algebra.py",
+        "a, k = self.algebra.a, 3 - i",
+        "a, k = self.algebra.a, i",
+        ("tests/test_algebra.py::test_lambda_alpha_relation",),
+    ),
+    Mutant(
+        "the reduced norm's sign flipped",
+        "algebra.py",
+        "m[0][0] * c00 + m[1][0] * c10 + m[2][0] * c20",
+        "-(m[0][0] * c00 + m[1][0] * c10 + m[2][0] * c20)",
+        (
+            "tests/test_algebra.py::test_reduced_norm_values",
+            "tests/test_algebra.py::test_division_property",
+        ),
+    ),
+    Mutant(
+        "_cofactors scales Nrd and the cofactors by zeta",
+        "algebra.py",
+        "return (c00, c10, c20), m[0][0] * c00 + m[1][0] * c10 + m[2][0] * c20",
+        "z = m[0][0].field.zeta()\n"
+        "        return (c00 * z, c10 * z, c20 * z), (m[0][0] * c00 + m[1][0] * c10 + m[2][0] * c20) * z",
+        (
+            "tests/test_algebra.py::test_reduced_norm_in_K_and_multiplicative",
+            "tests/test_algebra.py::test_division_property",
         ),
     ),
     Mutant(
@@ -93,6 +156,58 @@ MUTANTS = (
         "    return _int_field(value)",
         "    return value",
         ("tests/test_certificate_cli.py::test_wide_ints_are_strings_in_every_block",),
+    ),
+    Mutant(
+        "_encode leaves tuples alone",
+        "certificate.py",
+        "if isinstance(value, (list, tuple)):",
+        "if isinstance(value, list):",
+        (
+            "tests/test_certificate_cli.py::test_certificate_structure",
+            "tests/test_certificate_cli.py::test_encoder_writes_a_witness_as_rational_strings",
+        ),
+    ),
+    Mutant(
+        "canonicalize's inverse memo keyed without den",
+        "projective.py",
+        "key = (block, comp.den)",
+        "key = block",
+        (
+            "tests/test_projective.py::test_canonicalize_inverse_memo_is_transparent[7]",
+            "tests/test_projective.py::test_canonicalize_inverse_memo_is_transparent[13]",
+        ),
+    ),
+    Mutant(
+        "the linalg type guard removed",
+        "linalg.py",
+        "    if any(type(e) is not int for row in copies for e in row):\n"
+        "        raise TypeError(\"linalg takes matrices of int entries only\")\n",
+        "",
+        ("tests/test_linalg.py::test_int_entries_only_and_caller_rows_unchanged",),
+    ),
+    Mutant(
+        "the linalg type guard made an isinstance check, which lets a bool through",
+        "linalg.py",
+        "type(e) is not int",
+        "not isinstance(e, int)",
+        ("tests/test_linalg.py::test_int_entries_only_and_caller_rows_unchanged",),
+    ),
+    Mutant(
+        "the override guard made an isinstance check, which lets a bool through",
+        "pipeline.py",
+        "if type(a) is not int:",
+        "if not isinstance(a, int):",
+        ("tests/test_certificate_cli.py::test_pipeline_rejects_cube_override",),
+    ),
+    Mutant(
+        "choose_a dropped from the package root",
+        "__init__.py",
+        "from .obstruction import choose_a, is_cube_mod_p",
+        "from .obstruction import is_cube_mod_p",
+        (
+            "tests/test_perfbench_bindings.py::"
+            "test_package_root_names_used_by_the_benchmark_and_readme_resolve",
+        ),
     ),
 )
 

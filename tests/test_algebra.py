@@ -6,7 +6,7 @@ import pytest
 from oracles import inverse_via_solve, mat_mul
 
 from sbcert.algebra import AlgebraElem, CyclicAlgebra
-from sbcert.cyclotomic import gaussian_periods, make_field
+from sbcert.cyclotomic import FieldElem, gaussian_periods, make_field
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch
 from sbcert.obstruction import certifies_division
 from sbcert.rationals import Rat
@@ -61,6 +61,28 @@ def test_mul_identity_and_associativity(alg7, rng):
         z = random_algebra_elem(alg7, rng)
         assert x * one == x and one * x == x
         assert (x * y) * z == x * (y * z)
+
+
+def test_product_work_at_p7(alg7, field7, rng, monkeypatch):
+    # x * y = (x0, x1, x2) M(y): three products per nonzero x_i, one a-scaling
+    # in row 1 and two in row 2, and each twisted row of y costs three sigmas
+    x, y = random_algebra_elem(alg7, rng), random_algebra_elem(alg7, rng)
+    lam = alg7.embed(random_field_elem(field7, rng))
+    assert all(x.components) and all(y.components) and lam.x0
+    counts = dict.fromkeys(("__mul__", "sigma", "__add__"), 0)
+    for name in counts:
+        real = getattr(FieldElem, name)
+
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(FieldElem, name, counting)
+    x * y
+    assert counts == {"__mul__": 12, "sigma": 6, "__add__": 6}
+    counts.update(dict.fromkeys(counts, 0))
+    lam * y
+    assert counts == {"__mul__": 3, "sigma": 0, "__add__": 0}
 
 
 def test_param_mismatch(field7, field13):

@@ -64,6 +64,10 @@ def test_pipeline_rejects_cube_override():
         run_pipeline(7, PipelineOptions(a=3.9))
     with pytest.raises(RejectedOverride):
         run_pipeline(7, PipelineOptions(a=Fraction(7, 2)))
+    # a bool passes isinstance(a, int), but it is not graded as a cube or a non-unit
+    for a in (True, False):
+        with pytest.raises(RejectedOverride, match="not an int"):
+            run_pipeline(7, PipelineOptions(a=a))
 
 
 @pytest.mark.parametrize("trials", [0, -3])
