@@ -26,7 +26,7 @@ power of zeta (times a where alpha wraps), so it takes no algebra product.
 from math import lcm
 
 from . import linalg
-from .cyclotomic import CycloField, FieldElem, _power, k_inverse
+from .cyclotomic import CycloField, FieldElem, _fold, _power, k_inverse
 from .errors import DivisionByZero, NotInvertible, ParamMismatch
 from .rationals import Rat
 
@@ -48,7 +48,7 @@ class CyclicAlgebra:
     def __eq__(self, other):
         return (
             isinstance(other, CyclicAlgebra)
-            and self.field == other.field
+            and self.field is other.field
             and self.a == other.a
         )
 
@@ -63,7 +63,7 @@ class CyclicAlgebra:
         for c in (x0, x1, x2):
             if not isinstance(c, FieldElem):
                 c = self.field.from_rational(c)
-            elif c.field != self.field:
+            elif c.field is not self.field:
                 raise ParamMismatch("component from a different field")
             comps.append(c)
         return AlgebraElem(self, *comps)
@@ -222,8 +222,8 @@ class AlgebraElem:
         Row (c, e) holds the coordinates of x * zeta^e alpha^c (component
         index times the power basis of L).  Moving alpha^i past zeta^e
         applies s^-i, so the image is sum_i x_i * zeta^(e * d^-i) * alpha^(i+c),
-        with alpha^(i+c) = a * alpha^(i+c-3) when i + c >= 3: each block is a
-        rotation of num + (0,) less its top slot, as in apply_aut, and no
+        with alpha^(i+c) = a * alpha^(i+c-3) when i + c >= 3: each block is
+        the p slots of num + (0,) rotated by m and folded by _fold, and no
         algebra product is formed.
         """
         field, a = self.algebra.field, self.algebra.a
@@ -244,8 +244,7 @@ class AlgebraElem:
                     v = blocks[i][i + c >= 3]
                     m = e * pow(d_inv, i, p) % p
                     # times zeta^m: slot k takes v[k - m] (indices wrap mod p)
-                    top = v[n - m]
-                    row.extend([v[k - m] - top for k in range(n)])
+                    row.extend(_fold(v[p - m :] + v[: p - m]))
                 rows.append(row)
         return rows, dx
 

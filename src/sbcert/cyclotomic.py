@@ -1,25 +1,25 @@
 """Exact arithmetic in the p-th cyclotomic field and its cubic-index subfield.
 
 For a prime p = 3k + 1 the field L = Q(zeta_p) is represented in the power
-basis {1, zeta, ..., zeta^(p-2)}, kept in the unique reduced form where
-zeta^(p-1) has been rewritten as -(1 + zeta + ... + zeta^(p-2)).  An element
-is a length-(p-1) vector of integers over one positive denominator, reduced
-so that the denominator shares no factor with all the integers (Cohen, A
-Course in Computational Algebraic Number Theory, 4.2): multiplication is one
+basis {1, zeta, ..., zeta^(p-2)}.  An element is a length-(p-1) vector of
+integers over one positive denominator, reduced so that the denominator
+shares no factor with all the integers (Cohen, A Course in Computational
+Algebraic Number Theory, 4.2).  Products and automorphisms work on p
+exponent slots, the coefficients of zeta^0 .. zeta^(p-1), and _fold turns
+p slots into the reduced vector by subtracting the top slot from the rest,
+as zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  Multiplication is one
 product of Kronecker-packed integers, wrapped at zeta^p = 1 while still
-packed so that only p slots are unpacked, a fold by Phi_p and one gcd (a
-zero factor returns at once), and every automorphism is a permutation of
-the vector.  The exact rational coordinates are derived from that form
-when asked for.  The Galois group acts by
-zeta^i -> zeta^(t*i mod p).  The residue d of multiplicative order 3 picks
-out the automorphism s = (zeta -> zeta^d) whose fixed field K has index 3
-in L; Gaussian periods over the cosets of {1, d, d^2} give a Q-basis of K,
-and {1, zeta, zeta^2} is a K-basis of L used to split elements into their
-three K-coordinates.  The periods are even an integral basis of O_K
-(Hilbert-Speiser), and {1, zeta, zeta^2} is an O_K-basis of
-Z[zeta] = O_K[zeta], so the products eta_i * zeta^j form a Z-basis of
-Z[zeta]: K-coordinates of num / den are integers over the same den, and
-the whole K-layer runs on integers.
+packed so that only p slots are unpacked, a fold and one gcd (a zero factor
+returns at once); an automorphism permutes the p slots of the vector with a
+zero appended.  The Galois group acts by zeta^i -> zeta^(t*i mod p).  The
+residue d of multiplicative order 3 picks out the automorphism
+s = (zeta -> zeta^d) whose fixed field K has index 3 in L; Gaussian periods
+over the cosets of {1, d, d^2} give a Q-basis of K, and {1, zeta, zeta^2}
+is a K-basis of L used to split elements into their three K-coordinates.
+The periods are even an integral basis of O_K (Hilbert-Speiser), and
+{1, zeta, zeta^2} is an O_K-basis of Z[zeta] = O_K[zeta], so the products
+eta_i * zeta^j form a Z-basis of Z[zeta]: K-coordinates of num / den are
+integers over the same den, and the whole K-layer runs on integers.
 
 All values are immutable and every operation is pure, so everything here
 is safe to share between threads.
@@ -61,8 +61,9 @@ def is_prime(n: int) -> bool:
 class CycloField:
     """The field Q(zeta_p) for a prime p = 3k + 1, with its order-3 twist d.
 
-    Use make_field() to construct; it validates p and selects d
-    deterministically as the smallest residue of multiplicative order 3.
+    Use make_field(), never this constructor: it validates p, selects d
+    deterministically as the smallest residue of multiplicative order 3, and
+    returns the one field for p, so fields compare and hash by identity.
     """
 
     __slots__ = ("p", "d", "k")
@@ -71,12 +72,6 @@ class CycloField:
         self.p = p
         self.d = d
         self.k = k
-
-    def __eq__(self, other):
-        return isinstance(other, CycloField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("CycloField", self.p))
 
     def __repr__(self):
         return f"CycloField(p={self.p}, d={self.d}, k={self.k})"
@@ -107,24 +102,25 @@ class CycloField:
     def zeta(self, e: int = 1) -> "FieldElem":
         """The root of unity zeta^e, reduced."""
         e %= self.p
-        if e == self.p - 1:
-            # forced by the minimal polynomial 1 + zeta + ... + zeta^(p-1) = 0
-            return FieldElem(self, (-1,) * self.degree)
-        return FieldElem(self, tuple(int(i == e) for i in range(self.degree)))
+        return FieldElem(self, _fold([int(i == e) for i in range(self.p)]))
 
     def xi(self) -> "FieldElem":
         """The distinguished primitive root zeta itself."""
         return self.zeta(1)
 
 
+# one field per prime; setdefault is atomic, so concurrent first calls share one
+_FIELDS = {}
+
+
 def make_field(p: int) -> CycloField:
-    """Validate p and build the field; d is the smallest order-3 residue."""
+    """Validate p and return its one field; d is the smallest order-3 residue."""
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p % 3 != 1:
         raise WrongResidue(f"p = {p} has p mod 3 = {p % 3}, need p = 1 (mod 3)")
     d = next(t for t in range(2, p) if pow(t, 3, p) == 1)
-    return CycloField(p, d, (p - 1) // 3)
+    return _FIELDS.setdefault(p, CycloField(p, d, (p - 1) // 3))
 
 
 def _pack(vec, width: int) -> int:
@@ -149,14 +145,19 @@ def _unpack(z: int, width: int, count: int) -> list:
     return out
 
 
+def _fold(slots) -> tuple:
+    """The reduced coordinates of sum(slots[e] * zeta^e) over the p exponents e < p."""
+    top = slots[-1]
+    return tuple(c - top for c in slots[:-1]) if top else tuple(slots[:-1])
+
+
 def _power(base, e: int, one):
-    """base ** e for e >= 0 by square-and-multiply, starting from one."""
-    result = one
-    while e:
-        if e & 1:
+    """base ** e for e >= 0 by square-and-multiply over the bits of e, top bit first."""
+    result = base if e else one
+    for bit in bin(e)[3:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        base = base * base
-        e >>= 1
     return result
 
 
@@ -193,7 +194,7 @@ class FieldElem:
 
     def _check(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise ValueError("elements belong to different fields")
             return other
         return self.field.from_rational(other)
@@ -250,10 +251,7 @@ class FieldElem:
         if low >> (split - 1):
             low -= 1 << split
         out = _unpack(low + ((prod - low) >> split), width, p)
-        top = out.pop()
-        if top:
-            out = [c - top for c in out]
-        return _reduced(self.field, out, self.den * other.den)
+        return _reduced(self.field, _fold(out), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -266,7 +264,7 @@ class FieldElem:
         # field elements only: a rational never equals one, as their hashes differ
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.field == other.field and self.num == other.num and self.den == other.den
+        return self.field is other.field and self.num == other.num and self.den == other.den
 
     def __bool__(self):
         return any(self.num)
@@ -330,10 +328,7 @@ class FieldElem:
         return self._permuted(_aut_gather(self.field.p, self.field.d, power % 3))
 
     def _permuted(self, gather) -> "FieldElem":
-        acc = gather(self.num + (0,))
-        top = acc[-1]
-        num = tuple(c - top for c in acc[:-1]) if top else acc[:-1]
-        return FieldElem(self.field, num, self.den)
+        return FieldElem(self.field, _fold(gather(self.num + (0,))), self.den)
 
     def relative_norm(self) -> "FieldElem":
         """x * s(x) * s^2(x); always lands in the fixed field K."""

@@ -78,7 +78,8 @@ def _invertible(x) -> bool:
 
 
 def run_algebra_checks(algebra: CyclicAlgebra, seed: int, trials: int) -> dict:
-    """Seeded randomized verification of the algebra's contracts."""
+    """Seeded randomized verification of the algebra's contracts; bad counts raise BadInput."""
+    _validate_counts(PipelineOptions(seed=seed, trials=trials))
     rng = random.Random(seed)
     f, al, embed = algebra.field, algebra.alpha(), algebra.embed
     xi = f.xi()

@@ -84,6 +84,44 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_fold without its subtraction of the top slot",
+        "cyclotomic.py",
+        "tuple(c - top for c in slots[:-1])",
+        "tuple(c for c in slots[:-1])",
+        (
+            "tests/test_cyclotomic.py::test_mul_reduction_cases",
+            "tests/test_cyclotomic.py::test_mul_matches_schoolbook_oracle",
+        ),
+    ),
+    Mutant(
+        "the field guard of FieldElem._check removed",
+        "cyclotomic.py",
+        "            if other.field is not self.field:\n"
+        "                raise ValueError(\"elements belong to different fields\")\n",
+        "",
+        ("tests/test_cyclotomic.py::test_one_field_per_prime_compared_by_identity",),
+    ),
+    Mutant(
+        "make_field skips the validation of a prime it already holds",
+        "cyclotomic.py",
+        "if not isinstance(p, int) or not is_prime(p):",
+        "if p not in _FIELDS and (not isinstance(p, int) or not is_prime(p)):",
+        (
+            "tests/test_cyclotomic.py::test_make_field_validates_a_prime_it_already_holds[float]",
+            "tests/test_cyclotomic.py::test_make_field_validates_a_prime_it_already_holds[list]",
+        ),
+    ),
+    Mutant(
+        "_power squares without multiplying by the base",
+        "cyclotomic.py",
+        "        if bit == \"1\":\n            result = result * base\n",
+        "",
+        (
+            "tests/test_algebra.py::test_power_is_the_repeated_product",
+            "tests/test_algebra.py::test_alpha_cubed_takes_two_products",
+        ),
+    ),
+    Mutant(
         "row 1 of the splitting matrix without its a",
         "algebra.py",
         "(t2 * a, t0, t1)",

@@ -85,6 +85,30 @@ def test_product_work_at_p7(alg7, field7, rng, monkeypatch):
     assert counts == {"__mul__": 3, "sigma": 0, "__add__": 0}
 
 
+def test_power_is_the_repeated_product(alg7, field7, rng):
+    elems = [
+        (random_field_elem(field7, rng), field7.one()),
+        (random_algebra_elem(alg7, rng), alg7.one()),
+    ]
+    for x, expected in elems:
+        for e in range(9):
+            assert x**e == expected
+            expected = expected * x
+
+
+def test_alpha_cubed_takes_two_products(alg7, monkeypatch):
+    calls = []
+    real = AlgebraElem.__mul__
+
+    def counting(x, y):
+        calls.append(y)
+        return real(x, y)
+
+    monkeypatch.setattr(AlgebraElem, "__mul__", counting)
+    assert alg7.alpha() ** 3 == alg7.embed(2)
+    assert len(calls) == 2
+
+
 def test_param_mismatch(field7, field13):
     a2 = CyclicAlgebra(field7, 2)
     a3 = CyclicAlgebra(field7, 3)

@@ -139,6 +139,24 @@ def test_pipeline_rejects_non_integer_counts(options, error):
         run_pipeline(7, options)
 
 
+@pytest.mark.parametrize(
+    "seed, trials, error",
+    [
+        (0, 0, BadTrialCount),
+        (0, -1, BadTrialCount),
+        (0, True, BadTrialCount),
+        (True, 1, BadSeed),
+        (1.5, 1, BadSeed),
+        ("0", 1, BadSeed),
+    ],
+    ids=["zero-trials", "negative-trials", "bool-trials", "bool-seed", "float-seed", "str-seed"],
+)
+def test_run_algebra_checks_rejects_bad_counts(seed, trials, error):
+    # a root export: zero trials would give ten vacuous ok blocks that read as a PASS
+    with pytest.raises(error):
+        pipeline.run_algebra_checks(CyclicAlgebra(make_field(7), 2), seed, trials)
+
+
 PASSING_CHECKS = {
     "seed": 0,
     "division_certified": True,

@@ -1,5 +1,6 @@
 """Cyclotomic field arithmetic against independent schoolbook oracles."""
 
+import operator
 from math import lcm
 
 import pytest
@@ -10,6 +11,7 @@ import sbcert.cyclotomic as cyclotomic
 from sbcert import linalg
 from sbcert.algebra import CyclicAlgebra
 from sbcert.cyclotomic import (
+    CycloField,
     cosets,
     gaussian_periods,
     is_prime,
@@ -74,6 +76,26 @@ def test_make_field_rejections():
         make_field(11)
     with pytest.raises(WrongResidue):
         make_field(5)
+
+
+def test_one_field_per_prime_compared_by_identity(field7, field13, rng):
+    assert make_field(7) is make_field(7) is field7
+    x7, x13 = random_nonzero_field_elem(field7, rng), random_nonzero_field_elem(field13, rng)
+    # a field built directly is not make_field's, even with the same p and d
+    y7 = CycloField(7, field7.d, field7.k).one()
+    for x, y in ((x7, x13), (field7.one(), y7)):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(ValueError, match="different fields"):
+                op(x, y)
+        assert x != y
+    assert field7.one() != field13.one()
+
+
+@pytest.mark.parametrize("p", [7.0, [7], True], ids=["float", "list", "bool"])
+def test_make_field_validates_a_prime_it_already_holds(field7, p):
+    # 7.0 == 7 and True == 1 as dict keys: the lookup must not come before the checks
+    with pytest.raises(NotPrime):
+        make_field(p)
 
 
 def test_additive_structure(field7, rng):
