@@ -1,6 +1,8 @@
 """The 9-dimensional cyclic algebra over the fixed field K.
 
-Elements are stored as three L-components (x0, x1, x2) meaning
+CyclicAlgebra.element is the one constructor of an element: it coerces
+rationals and rejects a component of another field.  The element's
+components are one tuple (x0, x1, x2) of elements of L, meaning
 x0 + x1*alpha + x2*alpha^2, where alpha^3 = a and lambda*alpha =
 alpha*s(lambda) for the order-3 automorphism s.  Moving alpha left past a
 coefficient therefore applies s^-1 = s^2, so row i of the splitting
@@ -24,6 +26,7 @@ power of zeta (times a where alpha wraps), so it takes no algebra product.
 """
 
 from math import lcm
+from operator import add, neg, sub
 
 from . import linalg
 from .cyclotomic import CycloField, FieldElem, _fold, _power, k_inverse
@@ -59,6 +62,7 @@ class CyclicAlgebra:
         return f"CyclicAlgebra(p={self.field.p}, a={self.a})"
 
     def element(self, x0, x1, x2) -> "AlgebraElem":
+        """The one constructor; a component of another field raises ParamMismatch."""
         comps = []
         for c in (x0, x1, x2):
             if not isinstance(c, FieldElem):
@@ -69,39 +73,27 @@ class CyclicAlgebra:
         return AlgebraElem(self, *comps)
 
     def zero(self) -> "AlgebraElem":
-        z = self.field.zero()
-        return AlgebraElem(self, z, z, z)
+        return self.element(0, 0, 0)
 
     def one(self) -> "AlgebraElem":
-        z = self.field.zero()
-        return AlgebraElem(self, self.field.one(), z, z)
+        return self.element(1, 0, 0)
 
     def alpha(self) -> "AlgebraElem":
-        z = self.field.zero()
-        return AlgebraElem(self, z, self.field.one(), z)
+        return self.element(0, 1, 0)
 
     def embed(self, lam) -> "AlgebraElem":
         """The subring embedding of L at the alpha^0 slot."""
-        if not isinstance(lam, FieldElem):
-            lam = self.field.from_rational(lam)
-        z = self.field.zero()
-        return AlgebraElem(self, lam, z, z)
+        return self.element(lam, 0, 0)
 
 
 class AlgebraElem:
-    """x0 + x1*alpha + x2*alpha^2 with components in L."""
+    """x0 + x1*alpha + x2*alpha^2; components is the tuple (x0, x1, x2) in L."""
 
-    __slots__ = ("algebra", "x0", "x1", "x2")
+    __slots__ = ("algebra", "components")
 
     def __init__(self, algebra: CyclicAlgebra, x0: FieldElem, x1: FieldElem, x2: FieldElem):
         self.algebra = algebra
-        self.x0 = x0
-        self.x1 = x1
-        self.x2 = x2
-
-    @property
-    def components(self):
-        return (self.x0, self.x1, self.x2)
+        self.components = (x0, x1, x2)
 
     def _check(self, other) -> "AlgebraElem":
         if not isinstance(other, AlgebraElem):
@@ -112,25 +104,22 @@ class AlgebraElem:
 
     def __add__(self, other):
         other = self._check(other)
-        return AlgebraElem(
-            self.algebra, self.x0 + other.x0, self.x1 + other.x1, self.x2 + other.x2
-        )
+        return AlgebraElem(self.algebra, *map(add, self.components, other.components))
 
     def __sub__(self, other):
         other = self._check(other)
-        return AlgebraElem(
-            self.algebra, self.x0 - other.x0, self.x1 - other.x1, self.x2 - other.x2
-        )
+        return AlgebraElem(self.algebra, *map(sub, self.components, other.components))
 
     def __neg__(self):
-        return AlgebraElem(self.algebra, -self.x0, -self.x1, -self.x2)
+        return AlgebraElem(self.algebra, *map(neg, self.components))
 
     def __mul__(self, other):
         other = self._check(other)
+        x0, x1, x2 = self.components
         # x0 * row 0 even when x0 is zero: a zero factor makes those products free
         m0, m1, m2 = other._row(0)
-        z0, z1, z2 = self.x0 * m0, self.x0 * m1, self.x0 * m2
-        for i, x in ((1, self.x1), (2, self.x2)):
+        z0, z1, z2 = x0 * m0, x0 * m1, x0 * m2
+        for i, x in ((1, x1), (2, x2)):
             if x:
                 m0, m1, m2 = other._row(i)
                 z0, z1, z2 = z0 + x * m0, z1 + x * m1, z2 + x * m2
@@ -139,16 +128,15 @@ class AlgebraElem:
     def _row(self, i: int) -> tuple:
         """Row i of the splitting matrix: the components of alpha^i * self."""
         if not i:
-            return self.x0, self.x1, self.x2
+            return self.components
+        x0, x1, x2 = self.components
         a, k = self.algebra.a, 3 - i
-        t0, t1, t2 = self.x0.sigma(k), self.x1.sigma(k), self.x2.sigma(k)
+        t0, t1, t2 = x0.sigma(k), x1.sigma(k), x2.sigma(k)
         return (t2 * a, t0, t1) if i == 1 else (t1 * a, t2 * a, t0)
 
     def scale(self, factor) -> "AlgebraElem":
         """Multiply every component by a scalar from L (or a rational)."""
-        return AlgebraElem(
-            self.algebra, self.x0 * factor, self.x1 * factor, self.x2 * factor
-        )
+        return AlgebraElem(self.algebra, *[c * factor for c in self.components])
 
     def __pow__(self, e: int):
         if e < 0:
@@ -161,13 +149,13 @@ class AlgebraElem:
         return self.algebra == other.algebra and self.components == other.components
 
     def __bool__(self):
-        return bool(self.x0) or bool(self.x1) or bool(self.x2)
+        return any(self.components)
 
     def __hash__(self):
-        return hash((self.algebra.field.p, self.algebra.a, self.x0, self.x1, self.x2))
+        return hash((self.algebra.field.p, self.algebra.a) + self.components)
 
     def __repr__(self):
-        return f"({self.x0!r}) + ({self.x1!r})*al + ({self.x2!r})*al^2"
+        return "({!r}) + ({!r})*al + ({!r})*al^2".format(*self.components)
 
     # -- norm forms and inversion -----------------------------------------
 
@@ -228,7 +216,7 @@ class AlgebraElem:
         """
         field, a = self.algebra.field, self.algebra.a
         p, n = field.p, field.degree
-        dx = lcm(self.x0.den, self.x1.den, self.x2.den)
+        dx = lcm(*[z.den for z in self.components])
         # over the denominator dx, a block that wraps past alpha^2 carries a
         blocks = [
             [[c * (dx // z.den) * s for c in z.num + (0,)] for s in (1, a)]

@@ -38,7 +38,7 @@ from .errors import (
     SingularBasis,
     WrongResidue,
 )
-from .rationals import Rat, as_rat, ints_over_den
+from .rationals import Rat, ints_over_den
 
 
 def is_prime(n: int) -> bool:
@@ -95,18 +95,12 @@ class CycloField:
         return self.from_rational(1)
 
     def from_rational(self, q) -> "FieldElem":
-        q = as_rat(q)
-        num = (q.numerator,) + (0,) * (self.degree - 1)
-        return FieldElem(self, num, q.denominator)
+        return self.element((q,) + (0,) * (self.degree - 1))
 
     def zeta(self, e: int = 1) -> "FieldElem":
         """The root of unity zeta^e, reduced."""
         e %= self.p
         return FieldElem(self, _fold([int(i == e) for i in range(self.p)]))
-
-    def xi(self) -> "FieldElem":
-        """The distinguished primitive root zeta itself."""
-        return self.zeta(1)
 
 
 # one field per prime; setdefault is atomic, so concurrent first calls share one

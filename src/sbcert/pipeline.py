@@ -82,7 +82,7 @@ def run_algebra_checks(algebra: CyclicAlgebra, seed: int, trials: int) -> dict:
     _validate_counts(PipelineOptions(seed=seed, trials=trials))
     rng = random.Random(seed)
     f, al, embed = algebra.field, algebra.alpha(), algebra.embed
-    xi = f.xi()
+    xi = f.zeta()
     split, nrd = methodcaller("splitting_matrix"), methodcaller("reduced_norm")
 
     # the blocks draw in key order; each closure looks its sampler up at the draw

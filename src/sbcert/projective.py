@@ -159,7 +159,7 @@ def is_abelian(table) -> bool:
 
 
 def xi_hat(algebra: CyclicAlgebra) -> AlgebraElem:
-    return canonicalize(algebra.embed(algebra.field.xi()))
+    return canonicalize(algebra.embed(algebra.field.zeta()))
 
 
 def alpha_hat(algebra: CyclicAlgebra) -> AlgebraElem:

@@ -30,8 +30,7 @@ def random_field_elem(field: CycloField, rng) -> FieldElem:
 
 def random_algebra_elem(algebra: CyclicAlgebra, rng) -> AlgebraElem:
     f = algebra.field
-    return AlgebraElem(
-        algebra,
+    return algebra.element(
         random_field_elem(f, rng),
         random_field_elem(f, rng),
         random_field_elem(f, rng),

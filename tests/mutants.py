@@ -158,6 +158,28 @@ MUTANTS = (
         ("tests/test_algebra.py::test_lambda_alpha_relation",),
     ),
     Mutant(
+        "AlgebraElem.__sub__ adds",
+        "algebra.py",
+        "*map(sub, self.components, other.components)",
+        "*map(add, self.components, other.components)",
+        ("tests/test_algebra.py::test_additive_structure_and_distributivity",),
+    ),
+    Mutant(
+        "unary minus of an algebra element returns it unchanged",
+        "algebra.py",
+        "return AlgebraElem(self.algebra, *map(neg, self.components))",
+        "return self",
+        ("tests/test_algebra.py::test_additive_structure_and_distributivity",),
+    ),
+    Mutant(
+        "the field guard of CyclicAlgebra.element removed",
+        "algebra.py",
+        "            elif c.field is not self.field:\n"
+        "                raise ParamMismatch(\"component from a different field\")\n",
+        "",
+        ("tests/test_algebra.py::test_components_from_another_field_rejected",),
+    ),
+    Mutant(
         "the reduced norm's sign flipped",
         "algebra.py",
         "m[0][0] * c00 + m[1][0] * c10 + m[2][0] * c20",
@@ -214,6 +236,14 @@ MUTANTS = (
             "tests/test_projective.py::test_canonicalize_inverse_memo_is_transparent[7]",
             "tests/test_projective.py::test_canonicalize_inverse_memo_is_transparent[13]",
         ),
+    ),
+    Mutant(
+        "the float guard of ints_over_den removed",
+        "rationals.py",
+        "        if isinstance(v, float):\n"
+        "            raise TypeError(f\"{v!r} is a float; give an exact int, string or fraction\")\n",
+        "",
+        ("tests/test_cyclotomic.py::test_floats_rejected_at_the_rational_boundary",),
     ),
     Mutant(
         "the linalg type guard removed",

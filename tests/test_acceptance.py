@@ -196,7 +196,7 @@ def test_criterion_8_galois_layer():
     _check(failures, bad == 0, f"{bad}/36 composition-law failures")
     x = random_field_elem(field, rng)
     _check(failures, x.sigma(1).sigma(1).sigma(1) == x, "sigma order divides 3")
-    _check(failures, field.xi().sigma(1) != field.xi(), "sigma is nontrivial")
+    _check(failures, field.zeta().sigma(1) != field.zeta(), "sigma is nontrivial")
     periods = gaussian_periods(field)
     _check(failures, all(eta.sigma(1) == eta for eta in periods), "periods invariant")
     from oracles import rank

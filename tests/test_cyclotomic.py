@@ -99,7 +99,7 @@ def test_make_field_validates_a_prime_it_already_holds(field7, p):
 
 
 def test_additive_structure(field7, rng):
-    z = field7.xi()
+    z = field7.zeta()
     x = random_field_elem(field7, rng)
     assert x + field7.zero() == x
     assert z + (-z) == field7.zero()
@@ -109,7 +109,7 @@ def test_additive_structure(field7, rng):
 
 
 def test_mul_reduction_cases(field7):
-    z = field7.xi()
+    z = field7.zeta()
     # zeta * zeta^(p-2) hits the Phi_p fold
     assert z * field7.zeta(5) == field7.zeta(6)
     assert field7.zeta(6).coords == (Rat(-1),) * 6
@@ -183,7 +183,7 @@ def test_mul_with_a_negative_low_block_matches_schoolbook_oracle(field7, field13
     cases = []
     for field in (field7, field13):
         n = field.degree
-        z = field.xi()
+        z = field.zeta()
         cases += [
             (field.from_rational(-1), z),
             (-z, field.zeta(n - 1)),
@@ -228,7 +228,7 @@ def test_mul_identity(field7, rng):
 
 def test_inv_basics(field7):
     assert field7.one().inv() == field7.one()
-    z = field7.xi()
+    z = field7.zeta()
     zi = z.inv()
     assert z * zi == field7.one()
     assert zi == field7.zeta(6)  # zeta^(p-1), reduced
@@ -246,8 +246,8 @@ def test_inv_agrees_with_linear_solve_oracle(field7, field13, rng):
 
 def test_norm_values(field7, field13, rng):
     assert field7.from_rational(Rat(-2, 3)).norm() == Rat(-2, 3) ** 6
-    assert field7.xi().norm() == 1
-    assert (field13.one() - field13.xi()).norm() == 13  # Phi_p(1) = p
+    assert field7.zeta().norm() == 1
+    assert (field13.one() - field13.zeta()).norm() == 13  # Phi_p(1) = p
     assert field7.zero().norm() == 0
     for field in (field7, field13):
         for _ in range(5):
@@ -262,7 +262,7 @@ def test_norm_values(field7, field13, rng):
 def test_apply_aut_identity_and_generator(field7, rng):
     x = random_field_elem(field7, rng)
     assert x.apply_aut(1) == x
-    z = field7.xi()
+    z = field7.zeta()
     assert z.apply_aut(field7.d) == field7.zeta(field7.d)
 
 
@@ -285,7 +285,7 @@ def test_apply_aut_bad_residue(field7, rng):
 def test_sigma_has_order_three(field7, rng):
     x = random_nonzero_field_elem(field7, rng)
     assert x.sigma(1).sigma(1).sigma(1) == x
-    assert field7.xi().sigma(1) != field7.xi()
+    assert field7.zeta().sigma(1) != field7.zeta()
 
 
 def test_relative_norm_values(field7, rng):
@@ -293,14 +293,14 @@ def test_relative_norm_values(field7, rng):
     # 1 + d + d^2 = 0 (mod p), so the norm of zeta collapses to 1
     d = field7.d
     assert (1 + d + d * d) % field7.p == 0
-    assert field7.xi().relative_norm() == field7.one()
+    assert field7.zeta().relative_norm() == field7.one()
     c = Rat(-5, 3)
     assert field7.from_rational(c).relative_norm() == field7.from_rational(c**3)
 
 
 def test_is_in_K(field7):
     assert field7.from_rational(Rat(3, 2)).is_in_K()
-    assert not field7.xi().is_in_K()
+    assert not field7.zeta().is_in_K()
     eta0 = gaussian_periods(field7)[0]
     assert eta0.is_in_K()
 
@@ -325,17 +325,17 @@ def test_decompose_trivial_cases(field7):
     eta0 = gaussian_periods(field7)[0]
     k0, k1, k2 = decompose_over_K(eta0)
     assert (k0, k1, k2) == (eta0, field7.zero(), field7.zero())
-    k0, k1, k2 = decompose_over_K(field7.xi())
+    k0, k1, k2 = decompose_over_K(field7.zeta())
     assert (k0, k1, k2) == (field7.zero(), field7.one(), field7.zero())
 
 
 def test_decompose_roundtrip(field7, field13, rng):
     xi3 = field7.zeta(3)
     k0, k1, k2 = decompose_over_K(xi3)
-    z = field7.xi()
+    z = field7.zeta()
     assert k0 + k1 * z + k2 * z * z == xi3
     for field in (field7, field13):
-        z = field.xi()
+        z = field.zeta()
         for _ in range(100):
             x = random_field_elem(field, rng)
             k0, k1, k2 = decompose_over_K(x)
@@ -347,7 +347,7 @@ def test_k_coordinates_are_integers_over_the_den(field7, field13, rng):
     for field in (field7, field13):
         k = field.k
         periods = gaussian_periods(field)
-        z = field.xi()
+        z = field.zeta()
         for _ in range(25):
             x = random_field_elem(field, rng)
             vec = k_coordinate_vector(field, x)
@@ -408,7 +408,7 @@ def test_floats_rejected_at_the_rational_boundary(field7, alg7):
 
 def test_negative_exponent_rejected(field7, alg7):
     with pytest.raises(ValueError):
-        field7.xi() ** -1
+        field7.zeta() ** -1
     with pytest.raises(ValueError):
         alg7.alpha() ** -1
 

@@ -5,7 +5,8 @@ perfbench/run.py warms the K-layer caches and reads the scalar-backend
 flag, and both it and perfbench/workloads.py call package-root names as
 sb.<name>; a rename in src/ would otherwise show only when the benchmark
 runs, as run_failed.  run.py itself is not imported: its set-up drops and
-re-imports sbcert.
+re-imports sbcert.  The README's Python block is run as written, so an API
+change fails here before it fails a reader.
 """
 
 import ast
@@ -73,3 +74,10 @@ def test_package_root_names_used_by_the_benchmark_and_readme_resolve():
     names = _root_names_used()
     assert {"make_field", "run_pipeline", "certificate_to_json"} <= names
     assert [name for name in sorted(names) if not hasattr(sbcert, name)] == []
+
+
+def test_readme_python_block_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    assert '"overall": "PASS"' in capsys.readouterr().out
