@@ -76,14 +76,14 @@ class CyclicAlgebra:
         return self.element(0, 0, 0)
 
     def one(self) -> "AlgebraElem":
-        return self.element(1, 0, 0)
+        return self.element(self.field.one(), self.field.zero(), self.field.zero())
 
     def alpha(self) -> "AlgebraElem":
         return self.element(0, 1, 0)
 
     def embed(self, lam) -> "AlgebraElem":
         """The subring embedding of L at the alpha^0 slot."""
-        return self.element(lam, 0, 0)
+        return self.element(lam, self.field.zero(), self.field.zero())
 
 
 class AlgebraElem:
@@ -141,7 +141,7 @@ class AlgebraElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError(f"negative exponent {e}; use inverse()")
-        return _power(self, e, self.algebra.one())
+        return _power(self, e, self.algebra.one)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElem):

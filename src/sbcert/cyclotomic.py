@@ -5,14 +5,15 @@ basis {1, zeta, ..., zeta^(p-2)}.  An element is a length-(p-1) vector of
 integers over one positive denominator, reduced so that the denominator
 shares no factor with all the integers (Cohen, A Course in Computational
 Algebraic Number Theory, 4.2).  Products and automorphisms work on p
-exponent slots, the coefficients of zeta^0 .. zeta^(p-1), and _fold turns
-p slots into the reduced vector by subtracting the top slot from the rest,
-as zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  Multiplication is one
-product of Kronecker-packed integers, wrapped at zeta^p = 1 while still
-packed so that only p slots are unpacked, a fold and one gcd (a zero factor
-returns at once); an automorphism permutes the p slots of the vector with a
-zero appended.  The Galois group acts by zeta^i -> zeta^(t*i mod p).  The
-residue d of multiplicative order 3 picks out the automorphism
+exponent slots, the coefficients of zeta^0 .. zeta^(p-1), and the reduced
+vector subtracts the top slot from the rest (_fold), as zeta^(p-1) =
+-(1 + zeta + ... + zeta^(p-2)).  Multiplication is one product of
+Kronecker-packed integers, biased so its low p slots are non-negative and
+wrapped at zeta^p = 1 while still packed, then one pass of shifts that
+reads and folds the p slots, and one gcd (a zero factor returns at once);
+an automorphism permutes the p slots of the vector with a zero appended.
+The Galois group acts by zeta^i -> zeta^(t*i mod p).  The residue d of
+multiplicative order 3 picks out the automorphism
 s = (zeta -> zeta^d) whose fixed field K has index 3 in L; Gaussian periods
 over the cosets of {1, d, d^2} give a Q-basis of K, and {1, zeta, zeta^2}
 is a K-basis of L used to split elements into their three K-coordinates.
@@ -92,7 +93,7 @@ class CycloField:
         return FieldElem(self, (0,) * self.degree)
 
     def one(self) -> "FieldElem":
-        return self.from_rational(1)
+        return FieldElem(self, (1,) + (0,) * (self.degree - 1))
 
     def from_rational(self, q) -> "FieldElem":
         return self.element((q,) + (0,) * (self.degree - 1))
@@ -125,20 +126,6 @@ def _pack(vec, width: int) -> int:
     return z
 
 
-def _unpack(z: int, width: int, count: int) -> list:
-    """The first count signed slots of z, each in [-2^(width-1), 2^(width-1))."""
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    out = []
-    for _ in range(count):
-        c = z & mask
-        if c >= half:
-            c -= mask + 1
-        out.append(c)
-        z = (z - c) >> width
-    return out
-
-
 def _fold(slots) -> tuple:
     """The reduced coordinates of sum(slots[e] * zeta^e) over the p exponents e < p."""
     top = slots[-1]
@@ -146,8 +133,8 @@ def _fold(slots) -> tuple:
 
 
 def _power(base, e: int, one):
-    """base ** e for e >= 0 by square-and-multiply over the bits of e, top bit first."""
-    result = base if e else one
+    """base ** e for e >= 0 by square-and-multiply, top bit first; one() only for e = 0."""
+    result = base if e else one()
     for bit in bin(e)[3:]:
         result = result * result
         if bit == "1":
@@ -237,22 +224,23 @@ class FieldElem:
         # Kronecker substitution: one integer product of the packed vectors, with
         # slots wide enough for any coefficient (p - 1 products at most) and its sign
         width = (max(map(abs, xs)) * max(map(abs, ys)) * (p - 1)).bit_length() + 2
-        prod = _pack(xs, width) * _pack(ys, width)
-        # zeta^p = 1: the slots from p up add onto the low p slots, split off as a
-        # signed integer, before unpacking; then exponent p - 1 folds via Phi_p
+        mask = (1 << width) - 1
         split = width * p
-        low = prod & ((1 << split) - 1)
-        if low >> (split - 1):
-            low -= 1 << split
-        out = _unpack(low + ((prod - low) >> split), width, p)
-        return _reduced(self.field, _fold(out), self.den * other.den)
+        # zeta^p = 1: with 2^(width-1) added to each of the low p slots, the slots
+        # from p up add onto them as non-negative slots, read off by shifts
+        prod = _pack(xs, width) * _pack(ys, width) + (((1 << split) - 1) // mask << (width - 1))
+        prod = (prod & ((1 << split) - 1)) + (prod >> split)
+        # then exponent p - 1 folds via Phi_p, and the biases cancel
+        top = prod >> (split - width)
+        num = [(prod >> s & mask) - top for s in range(0, split - width, width)]
+        return _reduced(self.field, num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError(f"negative exponent {e}; use inv()")
-        return _power(self, e, self.field.one())
+        return _power(self, e, self.field.one)
 
     def __eq__(self, other):
         # field elements only: a rational never equals one, as their hashes differ

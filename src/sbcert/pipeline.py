@@ -3,13 +3,18 @@
 Stages: validate p and build the field; choose or validate the parameter
 a; run the cube-residue obstruction (plus optional brute-force search);
 exercise the algebra's defining relations, norm forms and division
-property on seeded random samples, every trial block through one runner;
-generate the projective group and verify order, relations, isomorphism
-and the Jordan index.  Any failed check yields a complete FAIL certificate
-naming the stage; invalid inputs raise a BadInput error instead.
+property on seeded random samples, every trial block through one runner,
+on two cores when the process has one thread and two CPUs (the bytes do
+not change); generate the projective group and verify order, relations,
+isomorphism and the Jordan index.  Any failed check yields a complete FAIL
+certificate naming the stage; invalid inputs raise a BadInput error instead.
 """
 
+import os
 import random
+import signal
+import struct
+import threading
 import time
 from dataclasses import dataclass
 from operator import methodcaller
@@ -62,10 +67,60 @@ def _mat_mul(lhs, rhs):
     )
 
 
-def _trials(n: int, draw, arity: int, holds) -> dict:
-    """Run holds on n fresh tuples of arity draws; each sample it refuses is a failure."""
-    failures = sum(not holds(*[draw() for _ in range(arity)]) for _ in range(n))
-    return {"trials": n, "failures": failures, "ok": failures == 0}
+def _failures(blocks, part=None) -> list:
+    """Failures per (n, draw, arity, holds) block: the samples that holds refuses.
+
+    Every trial draws, but only trials in part are checked: the first n // 2
+    of each block for part 0, the rest for part 1, all of them for None.
+    """
+    counts = []
+    for n, draw, arity, holds in blocks:
+        lo, hi = (0, n) if part is None else ((0, n // 2), (n // 2, n))[part]
+        samples = ([draw() for _ in range(arity)] for _ in range(n))
+        counts.append(sum(not holds(*x) for i, x in enumerate(samples) if lo <= i < hi))
+    return counts
+
+
+def _trial_blocks(rng, blocks) -> list:
+    """_failures(blocks), the first half of each block checked by a forked child.
+
+    Only with two CPUs and no other thread.  The parent draws every sample
+    in serial order and checks the second halves; the child, from its copy
+    of rng, checks the first halves and pipes its counts back.  Short of a
+    full set (either half raised or the child died) the child is killed and
+    reaped, rng rewound and the blocks run in-process: any error is serial.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or threading.active_count() > 1 or all(n < 2 for n, *_ in blocks):
+        return _failures(blocks)
+    fmt, state, theirs = struct.Struct(f"{len(blocks)}q"), rng.getstate(), b""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read_fd)
+        os.close(write_fd)
+        return _failures(blocks)
+    if not pid:
+        try:
+            os.write(write_fd, fmt.pack(*_failures(blocks, 0)))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        ours = _failures(blocks, 1)
+        theirs = os.read(read_fd, fmt.size)  # one write below PIPE_BUF arrives whole
+    except Exception:  # the serial run below raises the error a serial run meets first
+        pass
+    finally:
+        os.close(read_fd)
+        if len(theirs) != fmt.size:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if len(theirs) != fmt.size:
+        rng.setstate(state)
+        return _failures(blocks)
+    return [f + s for f, s in zip(fmt.unpack(theirs), ours)]
 
 
 def _invertible(x) -> bool:
@@ -95,28 +150,36 @@ def run_algebra_checks(algebra: CyclicAlgebra, seed: int, trials: int) -> dict:
     def nonzero():
         return random_nonzero_algebra_elem(algebra, rng)
 
-    return {
-        "seed": seed,
-        "division_certified": certifies_division(algebra.a, f.p),
-        "relation_lambda_alpha": _trials(
+    blocks = {
+        "relation_lambda_alpha": (
             trials, lam, 1, lambda y: embed(y) * al == al * embed(y.sigma(1))
         ),
-        "alpha_cubed_equals_a": al**3 == embed(algebra.a),
-        "xi_alpha_twist": embed(xi) * al == al * embed(xi**f.d),
-        "associativity": _trials(trials, elem, 3, lambda x, y, z: (x * y) * z == x * (y * z)),
-        "splitting_multiplicativity": _trials(
+        "associativity": (trials, elem, 3, lambda x, y, z: (x * y) * z == x * (y * z)),
+        "splitting_multiplicativity": (
             trials, elem, 2, lambda x, y: _mat_mul(split(x), split(y)) == split(x * y)
         ),
-        "reduced_norm_in_fixed_field": _trials(trials, elem, 1, lambda x: nrd(x).is_in_K()),
-        "reduced_norm_multiplicativity": _trials(
+        "reduced_norm_in_fixed_field": (trials, elem, 1, lambda x: nrd(x).is_in_K()),
+        "reduced_norm_multiplicativity": (
             trials, elem, 2, lambda x, y: nrd(x * y) == nrd(x) * nrd(y)
         ),
         # double sampling: the division property is the Wedderburn step
-        "division_property": _trials(2 * trials, nonzero, 1, _invertible),
+        "division_property": (2 * trials, nonzero, 1, _invertible),
         # exact identity det_Q(L_x) = N_{L/Q}(Nrd x) = N_{K/Q}(Nrd x)^3
-        "norm_oracle_agreement": _trials(
+        "norm_oracle_agreement": (
             trials, elem, 1, lambda x: x.regular_rep_det() == nrd(x).norm()
         ),
+    }
+    counts = _trial_blocks(rng, list(blocks.values()))
+    results = {name: {"trials": block[0], "failures": c, "ok": c == 0}
+               for (name, block), c in zip(blocks.items(), counts)}
+    # the flags draw nothing; the keys keep the certificate's order
+    return {
+        "seed": seed,
+        "division_certified": certifies_division(algebra.a, f.p),
+        "relation_lambda_alpha": results.pop("relation_lambda_alpha"),
+        "alpha_cubed_equals_a": al**3 == embed(algebra.a),
+        "xi_alpha_twist": embed(xi) * al == al * embed(xi**f.d),
+        **results,
     }
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 import time
 
@@ -34,3 +35,13 @@ def timed_cert31():
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process reports two CPUs; the list gains one entry per os.fork."""
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+    return forks

@@ -46,11 +46,12 @@ _ASSOCIATIVITY = (
 
 MUTANTS = (
     Mutant(
-        "the signed correction of the product's low block dropped",
+        "the bias of the product's low slots dropped",
         "cyclotomic.py",
-        "        if low >> (split - 1):\n            low -= 1 << split\n",
+        " + (((1 << split) - 1) // mask << (width - 1))",
         "",
         (
+            "tests/test_cyclotomic.py::test_mul_matches_schoolbook_oracle",
             "tests/test_cyclotomic.py::test_mul_with_a_negative_low_block_matches_schoolbook_oracle",
             "tests/test_field_properties.py::test_mul_matches_schoolbook_oracle",
         ),
@@ -76,8 +77,8 @@ MUTANTS = (
     Mutant(
         "the Phi_p fold hard-coded to p = 7",
         "cyclotomic.py",
-        "out = _unpack(low + ((prod - low) >> split), width, p)",
-        "out = _unpack(low + ((prod - low) >> split), width, 7)",
+        "range(0, split - width, width)",
+        "range(0, 6 * width, width)",
         (
             "tests/test_cyclotomic.py::test_mul_matches_schoolbook_oracle",
             "tests/test_field_properties.py::test_mul_matches_schoolbook_oracle",
@@ -266,6 +267,13 @@ MUTANTS = (
         "if type(a) is not int:",
         "if not isinstance(a, int):",
         ("tests/test_certificate_cli.py::test_pipeline_rejects_cube_override",),
+    ),
+    Mutant(
+        "the child's failure counts dropped from the forked trial blocks",
+        "pipeline.py",
+        "f + s for",
+        "s for",
+        ("tests/test_algebra.py::test_norm_oracle_cannot_see_the_sign_of_nrd",),
     ),
     Mutant(
         "choose_a dropped from the package root",

@@ -227,6 +227,39 @@ def test_trial_blocks_pass_on_the_split_algebra(field7):
     assert all(v["ok"] if isinstance(v, dict) else v for v in checks.values())
 
 
+def test_norm_oracle_cannot_see_the_sign_of_nrd(alg7, two_cpus, monkeypatch):
+    # N_{K/Q}(-1) = 1, so the oracle passes a sign-flipped Nrd that the
+    # multiplicativity block refuses every time; with the trials split across
+    # a forked child, a full count needs the child's half too
+    real = AlgebraElem.reduced_norm
+    monkeypatch.setattr(AlgebraElem, "reduced_norm", lambda x: -real(x))
+    checks = run_algebra_checks(alg7, seed=0, trials=10)
+    assert two_cpus == [None]
+    assert checks["norm_oracle_agreement"] == {"trials": 10, "failures": 0, "ok": True}
+    assert checks["reduced_norm_multiplicativity"] == {"trials": 10, "failures": 10, "ok": False}
+
+
+def test_a_transposed_twist_passes_every_block_built_on_the_rows(alg7, two_cpus, monkeypatch):
+    # s and s^2 swapped in rows 1 and 2 of M give the opposite algebra:
+    # associative, with a multiplicative M and inverses, so the blocks built on
+    # those rows pass; the defining relations and the norm oracle, whose L_x is
+    # built by index shifts and not from the rows, refuse it
+    def transposed_row(self, i):
+        if not i:
+            return self.components
+        x0, x1, x2 = self.components
+        t0, t1, t2 = x0.sigma(i), x1.sigma(i), x2.sigma(i)
+        a = self.algebra.a
+        return (t2 * a, t0, t1) if i == 1 else (t1 * a, t2 * a, t0)
+
+    monkeypatch.setattr(AlgebraElem, "_row", transposed_row)
+    checks = run_algebra_checks(alg7, seed=0, trials=10)
+    assert two_cpus == [None]
+    failed = [k for k, v in checks.items() if v is False or isinstance(v, dict) and not v["ok"]]
+    assert failed == ["relation_lambda_alpha", "xi_alpha_twist", "norm_oracle_agreement"]
+    assert checks["relation_lambda_alpha"]["failures"] == 10
+
+
 def test_division_certified_flag(field7):
     assert certifies_division(2, 7) and certifies_division(-5, 7)
     assert not certifies_division(6, 7)  # cube residue

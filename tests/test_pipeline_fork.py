@@ -1,0 +1,70 @@
+"""The algebra trial blocks split across a forked child: the serial result, no child left."""
+
+import os
+import threading
+
+import pytest
+
+from sbcert.algebra import AlgebraElem, CyclicAlgebra
+from sbcert.cyclotomic import make_field
+from sbcert.pipeline import run_algebra_checks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial(monkeypatch, *args):
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return run_algebra_checks(*args)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_two_cpus_fork_once_and_match_one_cpu(p, two_cpus, monkeypatch):
+    algebra = CyclicAlgebra(make_field(p), 2)
+    for seed in range(3):
+        forked = run_algebra_checks(algebra, seed, 5)
+        _no_child_left()
+        assert forked == _serial(monkeypatch, algebra, seed, 5)
+        assert len(two_cpus) == seed + 1
+
+
+def test_a_check_raising_in_the_childs_half_raises_as_the_serial_run(alg7, two_cpus, monkeypatch):
+    # the first oracle sample of a serial run is in the child's half; the error
+    # it raises there is the one the forked run must raise, after reaping the child
+    real = AlgebraElem.regular_rep_det
+    seen = []
+    monkeypatch.setattr(AlgebraElem, "regular_rep_det", lambda x: seen.append(x) or real(x))
+    _serial(monkeypatch, alg7, 0, 4)
+    first = seen[0]
+
+    def refuse_first(x):
+        if x == first:
+            raise ValueError(f"refused {x!r}")
+        return real(x)
+
+    monkeypatch.setattr(AlgebraElem, "regular_rep_det", refuse_first)
+    with pytest.raises(ValueError) as forked:
+        run_algebra_checks(alg7, 0, 4)
+    _no_child_left()
+    with pytest.raises(ValueError) as serial:
+        _serial(monkeypatch, alg7, 0, 4)
+    assert two_cpus == [None]
+    assert str(forked.value) == str(serial.value) == f"refused {first!r}"
+
+
+def test_a_live_thread_means_no_fork(alg7, two_cpus):
+    # forking with another thread alive is unsafe, and warns from Python 3.12
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        checks = run_algebra_checks(alg7, 0, 4)
+    finally:
+        release.set()
+        waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert two_cpus == []
+    assert checks["associativity"] == {"trials": 4, "failures": 0, "ok": True}
