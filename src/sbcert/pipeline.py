@@ -10,6 +10,7 @@ isomorphism and the Jordan index.  Any failed check yields a complete FAIL
 certificate naming the stage; invalid inputs raise a BadInput error instead.
 """
 
+import functools
 import os
 import random
 import signal
@@ -84,22 +85,24 @@ def _failures(blocks, part=None) -> list:
 def _trial_blocks(rng, blocks) -> list:
     """_failures(blocks), the first half of each block checked by a forked child.
 
-    Only with two CPUs and no other thread.  The parent draws every sample
-    in serial order and checks the second halves; the child, from its copy
-    of rng, checks the first halves and pipes its counts back.  Short of a
-    full set (either half raised or the child died) the child is killed and
-    reaped, rng rewound and the blocks run in-process: any error is serial.
+    Only with two CPUs and no other thread, else (or with no pipe or child
+    to spare) in-process.  The parent draws every sample in serial order and
+    checks the second halves; the child, from its copy of rng, checks the
+    first halves and pipes its counts back.  Short of a full set (either
+    half raised or the child died) the child is killed and reaped, rng
+    rewound and the blocks run in-process: any error is serial.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus < 2 or threading.active_count() > 1 or all(n < 2 for n, *_ in blocks):
+    if cpus < 2 or threading.active_count() > 1:
         return _failures(blocks)
     fmt, state, theirs = struct.Struct(f"{len(blocks)}q"), rng.getstate(), b""
-    read_fd, write_fd = os.pipe()
+    fds = ()
     try:
+        fds = read_fd, write_fd = os.pipe()
         pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(read_fd)
-        os.close(write_fd)
+    except OSError:  # no descriptor or process to spare
+        for fd in fds:
+            os.close(fd)
         return _failures(blocks)
     if not pid:
         try:
@@ -140,16 +143,10 @@ def run_algebra_checks(algebra: CyclicAlgebra, seed: int, trials: int) -> dict:
     xi = f.zeta()
     split, nrd = methodcaller("splitting_matrix"), methodcaller("reduced_norm")
 
-    # the blocks draw in key order; each closure looks its sampler up at the draw
-    def lam():
-        return random_field_elem(f, rng)
-
-    def elem():
-        return random_algebra_elem(algebra, rng)
-
-    def nonzero():
-        return random_nonzero_algebra_elem(algebra, rng)
-
+    # the blocks draw in key order, from the samplers bound at this call
+    lam = functools.partial(random_field_elem, f, rng)
+    elem = functools.partial(random_algebra_elem, algebra, rng)
+    nonzero = functools.partial(random_nonzero_algebra_elem, algebra, rng)
     blocks = {
         "relation_lambda_alpha": (
             trials, lam, 1, lambda y: embed(y) * al == al * embed(y.sigma(1))
@@ -195,9 +192,13 @@ def run_pipeline(p: int, options: Optional[PipelineOptions] = None) -> Certifica
     timings = {}
     t_start = time.perf_counter()
 
-    t = time.perf_counter()
-    field = make_field(p)
-    timings["field"] = (time.perf_counter() - t) * 1000
+    def timed(stage, run, *args):
+        t = time.perf_counter()
+        out = run(*args)
+        timings[stage] = (time.perf_counter() - t) * 1000
+        return out
+
+    field = timed("field", make_field, p)
 
     if opts.a is None:
         a = choose_a(p)
@@ -207,20 +208,14 @@ def run_pipeline(p: int, options: Optional[PipelineOptions] = None) -> Certifica
     bound = opts.norm_search_bound
     if bound is None:
         bound = 1 if p == 7 else 0
-    t = time.perf_counter()
-    obstruction = obstruction_report(field, a, bound)
-    timings["obstruction"] = (time.perf_counter() - t) * 1000
+    obstruction = timed("obstruction", obstruction_report, field, a, bound)
     obstruction_ok = obstruction.certificate_grade
 
     algebra = CyclicAlgebra(field, a)
-    t = time.perf_counter()
-    algebra_checks = run_algebra_checks(algebra, opts.seed, opts.trials)
-    timings["algebra"] = (time.perf_counter() - t) * 1000
+    algebra_checks = timed("algebra", run_algebra_checks, algebra, opts.seed, opts.trials)
     algebra_ok = _algebra_checks_ok(algebra_checks)
 
-    t = time.perf_counter()
-    greport = group_report(algebra)
-    timings["group"] = (time.perf_counter() - t) * 1000
+    greport = timed("group", group_report, algebra)
 
     timings["total"] = (time.perf_counter() - t_start) * 1000
 

@@ -121,21 +121,25 @@ def cayley_table(elements) -> list:
     return [list(row) for row in zip(*columns)]
 
 
+def _closures(table) -> list:
+    """(the set of 0 and i's powers, whether they reach 0) for every index i."""
+    closures = []
+    for i in range(len(table)):
+        closure, x = {0}, i
+        while x not in closure:  # stops at 0 or a repeat: n steps at most, group or not
+            closure.add(x)
+            x = table[x][i]
+        closures.append((closure, x == 0))
+    return closures
+
+
 def table_orders(table) -> list:
     """The order of every element, by walking its powers back to the identity 0.
 
-    A walk stops after n steps: an element whose powers have not reached 0
-    by then (only possible when the table is not a group) gets order 0.
+    An element whose powers repeat before they reach 0 (only possible when
+    the table is not a group) gets order 0.
     """
-    n = len(table)
-    orders = []
-    for i in range(n):
-        x, m = i, 1
-        while x and m < n:
-            x = table[x][i]
-            m += 1
-        orders.append(0 if x else m)
-    return orders
+    return [len(c) if reached else 0 for c, reached in _closures(table)]
 
 
 def _histogram(orders) -> dict:
@@ -273,24 +277,17 @@ def jordan_index_check(table) -> int:
 
     For groups of order 3p (and the degenerate prime-order guard inputs)
     every proper nontrivial subgroup has prime order, hence is cyclic, so
-    the trivial group, the cyclic closures of single elements, and the
-    whole group exhaust all subgroups.  A table that is not a group (a row
-    without the identity 0, or no normal abelian subgroup found) gets 0,
-    as in table_orders.
+    the cyclic closures of single elements (0's is the trivial group) and
+    the whole group exhaust all subgroups.  A table that is not a group
+    (a row without the identity 0, or no normal abelian subgroup found)
+    gets 0, as in table_orders.
     """
     n = len(table)
     if any(0 not in row for row in table):
         return 0
     inv = [row.index(0) for row in table]
 
-    subgroups = {frozenset([0]), frozenset(range(n))}
-    for i in range(n):
-        closure = {0}
-        x = i
-        while x not in closure:  # at most n steps, even on a broken table
-            closure.add(x)
-            x = table[x][i]
-        subgroups.add(frozenset(closure))
+    subgroups = {frozenset(range(n))} | {frozenset(c) for c, _ in _closures(table)}
 
     def normal_abelian(sub) -> bool:
         return all(table[s][t] == table[t][s] for s in sub for t in sub if s < t) and all(

@@ -276,6 +276,26 @@ MUTANTS = (
         ("tests/test_algebra.py::test_norm_oracle_cannot_see_the_sign_of_nrd",),
     ),
     Mutant(
+        "a failed os.pipe propagates",
+        "pipeline.py",
+        "    fds = ()\n    try:\n        fds = read_fd, write_fd = os.pipe()\n",
+        "    fds = read_fd, write_fd = os.pipe()\n    try:\n",
+        (
+            "tests/test_pipeline_fork.py::test_no_pipe_or_child_to_spare_runs_in_process[pipe]",
+            "tests/test_pipeline_fork.py::test_cli_without_a_pipe_writes_the_golden_certificate",
+        ),
+    ),
+    Mutant(
+        "the walk's reached-0 flag flipped",
+        "projective.py",
+        "closures.append((closure, x == 0))",
+        "closures.append((closure, x != 0))",
+        (
+            "tests/test_projective.py::test_element_orders",
+            "tests/test_projective.py::test_element_orders_return_on_a_broken_table",
+        ),
+    ),
+    Mutant(
         "choose_a dropped from the package root",
         "__init__.py",
         "from .obstruction import choose_a, is_cube_mod_p",

@@ -165,3 +165,21 @@ def class_eq(x: AlgebraElem, y: AlgebraElem) -> bool:
     if not ratio.is_in_K():
         return False
     return x == y.scale(ratio)
+
+
+def table_orders_by_bounded_walk(table) -> list:
+    """The order of every element, by at most n steps down its column.
+
+    A walk that has not reached the identity 0 after n steps gives 0; the
+    package's table_orders stops at a repeat instead, and must agree on
+    every table, a group or not.
+    """
+    n = len(table)
+    orders = []
+    for i in range(n):
+        x, m = i, 1
+        while x and m < n:
+            x = table[x][i]
+            m += 1
+        orders.append(0 if x else m)
+    return orders

@@ -1,18 +1,36 @@
 """The algebra trial blocks split across a forked child: the serial result, no child left."""
 
+import errno
+import json
 import os
 import threading
+from pathlib import Path
 
 import pytest
 
+import sbcert.cli as cli
 from sbcert.algebra import AlgebraElem, CyclicAlgebra
 from sbcert.cyclotomic import make_field
 from sbcert.pipeline import run_algebra_checks
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _open_fds():
+    """The process's open descriptors, or None where /proc is absent."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _refuse(code):
+    def refuse(*args):
+        raise OSError(code, os.strerror(code))
+
+    return refuse
 
 
 def _serial(monkeypatch, *args):
@@ -68,3 +86,25 @@ def test_a_live_thread_means_no_fork(alg7, two_cpus):
     assert not waiter.is_alive()
     assert two_cpus == []
     assert checks["associativity"] == {"trials": 4, "failures": 0, "ok": True}
+
+
+@pytest.mark.parametrize("call, code", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)],
+                         ids=["pipe", "fork"])
+def test_no_pipe_or_child_to_spare_runs_in_process(call, code, alg7, two_cpus, monkeypatch):
+    serial = _serial(monkeypatch, alg7, 0, 4)
+    fds = _open_fds()
+    monkeypatch.setattr(os, call, _refuse(code))
+    assert run_algebra_checks(alg7, 0, 4) == serial
+    assert _open_fds() == fds  # no descriptor left open
+    _no_child_left()
+    assert two_cpus == []
+
+
+def test_cli_without_a_pipe_writes_the_golden_certificate(tmp_path, two_cpus, monkeypatch, capsys):
+    monkeypatch.setattr(os, "pipe", _refuse(errno.EMFILE))
+    out = tmp_path / "cert_p7.json"
+    assert cli.main(["--p", "7", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc.pop("timings_ms")
+    assert json.dumps(doc, indent=2) + "\n" == (GOLDEN / "cert_p7.json").read_text()
+    assert capsys.readouterr().err.endswith("-> PASS\n")

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 from draws import random_k_star_elem
-from oracles import class_eq, generate_subgroup_by_class_products
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import class_eq, generate_subgroup_by_class_products, table_orders_by_bounded_walk
 
 import sbcert.cyclotomic as cyclotomic
 import sbcert.projective as projective
@@ -191,12 +193,25 @@ def test_element_orders(alg7):
 
 def test_element_orders_return_on_a_broken_table():
     # after the swap the powers of element 2 never reach the identity; the
-    # bounded walk reports order 0 instead of looping for ever
+    # walk stops at their first repeat and reports order 0, not looping for ever
     broken = _swapped(semidirect_table(7, 2), 1, 1, 2)
     orders = table_orders(broken)
     assert orders[2] == 0
     assert order_histogram(broken) != order_histogram(semidirect_table(7, 2))
     assert jordan_index_check(broken) in range(1, 22)  # its closure walks return too
+
+
+def _tables(n):
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+# derandomized: the suite draws the same examples on every run
+@settings(deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(_tables))
+def test_element_orders_match_the_bounded_walk_on_any_table(table):
+    # most such tables are not groups: walks that repeat before 0 give 0
+    assert table_orders(table) == table_orders_by_bounded_walk(table)
 
 
 def test_xi_powers_nontrivial_below_p(alg7):
