@@ -36,6 +36,7 @@ from .errors import (
     DivisionByZero,
     NotInvertible,
     NotPrime,
+    PrimeTooLarge,
     SingularBasis,
     WrongResidue,
 )
@@ -106,10 +107,13 @@ class CycloField:
 
 # one field per prime; setdefault is atomic, so concurrent first calls share one
 _FIELDS = {}
+_P_MAX = 103  # the largest prime with pinned results (tests/golden/group_p103.json)
 
 
 def make_field(p: int) -> CycloField:
     """Validate p and return its one field; d is the smallest order-3 residue."""
+    if isinstance(p, int) and p > _P_MAX:  # before is_prime, whose trial division is slow
+        raise PrimeTooLarge(f"p = {p} is above {_P_MAX}, the largest p sbcert is tested at")
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p % 3 != 1:

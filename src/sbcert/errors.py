@@ -17,6 +17,10 @@ class WrongResidue(BadInput):
     pass
 
 
+class PrimeTooLarge(BadInput):
+    """p above the largest prime with pinned results; rejected before any work on it."""
+
+
 class BadResidue(SbcertError):
     pass
 

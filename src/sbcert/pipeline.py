@@ -14,7 +14,6 @@ import functools
 import os
 import random
 import signal
-import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -85,45 +84,38 @@ def _failures(blocks, part=None) -> list:
 def _trial_blocks(rng, blocks) -> list:
     """_failures(blocks), the first half of each block checked by a forked child.
 
-    Only with two CPUs and no other thread, else (or with no pipe or child
-    to spare) in-process.  The parent draws every sample in serial order and
-    checks the second halves; the child, from its copy of rng, checks the
-    first halves and pipes its counts back.  Short of a full set (either
-    half raised or the child died) the child is killed and reaped, rng
-    rewound and the blocks run in-process: any error is serial.
+    Only with two CPUs and no other thread, else (or with no child to spare)
+    in-process.  The parent draws every sample in serial order and checks the
+    second halves; the child, from its copy of rng, checks the first halves
+    and exits 0 only when none failed.  Any other exit, or an error in the
+    parent's half (the child is then killed), reaps the child, rewinds rng
+    and reruns the blocks in-process: every child failure and error is serial.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if cpus < 2 or threading.active_count() > 1:
         return _failures(blocks)
-    fmt, state, theirs = struct.Struct(f"{len(blocks)}q"), rng.getstate(), b""
-    fds = ()
+    state, ours = rng.getstate(), None
     try:
-        fds = read_fd, write_fd = os.pipe()
         pid = os.fork()
-    except OSError:  # no descriptor or process to spare
-        for fd in fds:
-            os.close(fd)
+    except OSError:  # no process to spare
         return _failures(blocks)
     if not pid:
         try:
-            os.write(write_fd, fmt.pack(*_failures(blocks, 0)))
-        finally:
-            os._exit(0)
-    os.close(write_fd)
+            os._exit(int(any(_failures(blocks, 0))))
+        finally:  # the child's half raised
+            os._exit(1)
     try:
         ours = _failures(blocks, 1)
-        theirs = os.read(read_fd, fmt.size)  # one write below PIPE_BUF arrives whole
     except Exception:  # the serial run below raises the error a serial run meets first
         pass
     finally:
-        os.close(read_fd)
-        if len(theirs) != fmt.size:
+        if ours is None:
             os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    if len(theirs) != fmt.size:
+        status = os.waitpid(pid, 0)[1]
+    if status or ours is None:
         rng.setstate(state)
         return _failures(blocks)
-    return [f + s for f, s in zip(fmt.unpack(theirs), ours)]
+    return ours
 
 
 def _invertible(x) -> bool:

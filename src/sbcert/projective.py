@@ -12,16 +12,18 @@ breadth-first, tabulated, and compared with the reference table of
 Z/p x| Z/3 whose twist is the order-3 residue d.  Both tables keep the
 identity at index 0.  Conjugation by alpha acts on <zeta-hat> as d^-1, so
 the pairing that matches the reference table as written is
-phi(u, v) = xi-hat^u * (alpha-hat^2)^v.  The expansion is the only place
-classes are multiplied: it multiplies the product that found each class (a
-monomial c * zeta^u * alpha^w), keys classes by canonical element and records
-each element's products with the generators.  The table is built from
-those edges by index, and the relations, the element orders and phi are
-read off it, so a group stage makes 6p + 2 class products (the two
-generators and the 2 * 3p expansion products).  Every product is
+phi(u, v) = xi-hat^u * (alpha-hat^2)^v, where xi-hat and alpha-hat are the
+classes of zeta and alpha.  Both generators are already canonical (the
+leading K-coordinate of each is 1), so they enter the expansion as they are.
+The expansion is the only place classes are multiplied: it multiplies the
+product that found each class (a monomial c * zeta^u * alpha^w), keys
+classes by canonical element and records each element's products with the
+generators.  The table is built from those edges by index, and the
+relations, the element orders and phi are read off it, so a group stage
+makes 6p class products (2 * 3p expansion products).  Every product is
 canonicalized, but the expansion keeps one dict of leading K-blocks and
-their inverses for the length of the call, so only the 2p - 4 distinct
-leading blocks are solved (34 of the 116 products at p = 19).
+their inverses for the length of the call, so only the 2p - 6 distinct
+leading blocks are solved (32 of the 114 products at p = 19).
 """
 
 from collections import Counter
@@ -162,14 +164,6 @@ def is_abelian(table) -> bool:
     return all(table[i][j] == table[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def xi_hat(algebra: CyclicAlgebra) -> AlgebraElem:
-    return canonicalize(algebra.embed(algebra.field.zeta()))
-
-
-def alpha_hat(algebra: CyclicAlgebra) -> AlgebraElem:
-    return canonicalize(algebra.alpha())
-
-
 def verify_relations(table, xi: int, al: int, p: int, d: int) -> dict:
     """The three defining relations of the target group, read off the table.
 
@@ -279,11 +273,11 @@ def jordan_index_check(table) -> int:
     every proper nontrivial subgroup has prime order, hence is cyclic, so
     the cyclic closures of single elements (0's is the trivial group) and
     the whole group exhaust all subgroups.  A table that is not a group
-    (a row without the identity 0, or no normal abelian subgroup found)
-    gets 0, as in table_orders.
+    (empty, a row without the identity 0, or no normal abelian subgroup
+    found) gets 0, as in table_orders.
     """
     n = len(table)
-    if any(0 not in row for row in table):
+    if not table or any(0 not in row for row in table):
         return 0
     inv = [row.index(0) for row in table]
 
@@ -327,9 +321,9 @@ class GroupReport:
 
 def group_report(algebra: CyclicAlgebra) -> GroupReport:
     """Generate the group, tabulate it, and read every check off the table."""
-    p = algebra.field.p
-    d = algebra.field.d
-    elements = generate_subgroup([xi_hat(algebra), alpha_hat(algebra)])
+    field = algebra.field
+    p, d = field.p, field.d
+    elements = generate_subgroup([algebra.embed(field.zeta()), algebra.alpha()])
     table = cayley_table(elements)
     xi_i, al_i = elements[0][1]  # identity * generator is the generator
     orders = table_orders(table)

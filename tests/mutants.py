@@ -269,21 +269,33 @@ MUTANTS = (
         ("tests/test_certificate_cli.py::test_pipeline_rejects_cube_override",),
     ),
     Mutant(
-        "the child's failure counts dropped from the forked trial blocks",
+        "the child's exit status ignored by the forked trial blocks",
         "pipeline.py",
-        "f + s for",
-        "s for",
-        ("tests/test_algebra.py::test_norm_oracle_cannot_see_the_sign_of_nrd",),
+        "if status or ours is None:",
+        "if ours is None:",
+        (
+            "tests/test_pipeline_fork.py::"
+            "test_a_check_refusing_one_sample_in_either_half_counts_as_the_serial_run[child]",
+            "tests/test_algebra.py::test_norm_oracle_cannot_see_the_sign_of_nrd",
+        ),
     ),
     Mutant(
-        "a failed os.pipe propagates",
-        "pipeline.py",
-        "    fds = ()\n    try:\n        fds = read_fd, write_fd = os.pipe()\n",
-        "    fds = read_fd, write_fd = os.pipe()\n    try:\n",
+        "make_field without its cap on p",
+        "cyclotomic.py",
+        "if isinstance(p, int) and p > _P_MAX:",
+        "if False:",
         (
-            "tests/test_pipeline_fork.py::test_no_pipe_or_child_to_spare_runs_in_process[pipe]",
-            "tests/test_pipeline_fork.py::test_cli_without_a_pipe_writes_the_golden_certificate",
+            "tests/test_cyclotomic.py::test_make_field_caps_p_before_the_primality_test",
+            "tests/test_certificate_cli.py::"
+            "test_cli_rejects_a_prime_above_the_cap_without_testing_it",
         ),
+    ),
+    Mutant(
+        "zeta and alpha swapped in group_report's generator list",
+        "projective.py",
+        "generate_subgroup([algebra.embed(field.zeta()), algebra.alpha()])",
+        "generate_subgroup([algebra.alpha(), algebra.embed(field.zeta())])",
+        ("tests/test_projective.py::test_group_report_matches_golden[19]",),
     ),
     Mutant(
         "the walk's reached-0 flag flipped",

@@ -7,6 +7,7 @@ import pytest
 
 import sbcert.algebra as algebra_module
 import sbcert.cli as cli
+import sbcert.cyclotomic as cyclotomic
 import sbcert.pipeline as pipeline
 import sbcert.projective as projective
 from sbcert.algebra import CyclicAlgebra
@@ -393,6 +394,19 @@ def test_cli_rejections(capsys):
     assert cli.main(["--p", "7", "--a", "6"]) == 2
     captured = capsys.readouterr()
     assert "error" in captured.err
+
+
+def test_cli_rejects_a_prime_above_the_cap_without_testing_it(monkeypatch, capsys):
+    # 2^61 - 1 is prime; is_prime's trial division on it would not end in a test
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) reached")
+
+    monkeypatch.setattr(cyclotomic, "is_prime", refuse)
+    assert cli.main(["--p", "2305843009213693951", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sbcert: error: p = 2305843009213693951 is above 103")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -24,6 +24,7 @@ from sbcert.errors import (
     DivisionByZero,
     NotInvertible,
     NotPrime,
+    PrimeTooLarge,
     SingularBasis,
     WrongResidue,
 )
@@ -89,6 +90,19 @@ def test_one_field_per_prime_compared_by_identity(field7, field13, rng):
                 op(x, y)
         assert x != y
     assert field7.one() != field13.one()
+
+
+def _refuse_is_prime(n):
+    raise AssertionError(f"is_prime({n}) reached: its trial division stalls on a large p")
+
+
+def test_make_field_caps_p_before_the_primality_test(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "is_prime", _refuse_is_prime)
+    for p in (109, 1000003, 2**61 - 1):
+        with pytest.raises(PrimeTooLarge, match=f"p = {p} is above 103"):
+            make_field(p)
+    monkeypatch.undo()
+    assert make_field(103).p == 103
 
 
 @pytest.mark.parametrize("p", [7.0, [7], True], ids=["float", "list", "bool"])

@@ -49,28 +49,46 @@ def test_two_cpus_fork_once_and_match_one_cpu(p, two_cpus, monkeypatch):
         assert len(two_cpus) == seed + 1
 
 
-def test_a_check_raising_in_the_childs_half_raises_as_the_serial_run(alg7, two_cpus, monkeypatch):
-    # the first oracle sample of a serial run is in the child's half; the error
-    # it raises there is the one the forked run must raise, after reaping the child
+def _oracle_samples(monkeypatch, algebra):
+    """regular_rep_det and the oracle's samples in a serial run at seed 0 with 4 trials.
+
+    The first two samples are the child's half of the block, the last two the parent's.
+    """
     real = AlgebraElem.regular_rep_det
     seen = []
     monkeypatch.setattr(AlgebraElem, "regular_rep_det", lambda x: seen.append(x) or real(x))
-    _serial(monkeypatch, alg7, 0, 4)
-    first = seen[0]
+    _serial(monkeypatch, algebra, 0, 4)
+    return real, seen
 
-    def refuse_first(x):
-        if x == first:
+
+def _raises_as_the_serial_run(algebra, two_cpus, monkeypatch, pick):
+    """A forked run whose oracle raises on the picked sample raises the serial run's error."""
+    real, seen = _oracle_samples(monkeypatch, algebra)
+    refused = pick(seen)
+
+    def refuse(x):
+        if x == refused:
             raise ValueError(f"refused {x!r}")
         return real(x)
 
-    monkeypatch.setattr(AlgebraElem, "regular_rep_det", refuse_first)
+    monkeypatch.setattr(AlgebraElem, "regular_rep_det", refuse)
     with pytest.raises(ValueError) as forked:
-        run_algebra_checks(alg7, 0, 4)
+        run_algebra_checks(algebra, 0, 4)
     _no_child_left()
     with pytest.raises(ValueError) as serial:
-        _serial(monkeypatch, alg7, 0, 4)
+        _serial(monkeypatch, algebra, 0, 4)
     assert two_cpus == [None]
-    assert str(forked.value) == str(serial.value) == f"refused {first!r}"
+    assert str(forked.value) == str(serial.value) == f"refused {refused!r}"
+
+
+def test_a_check_raising_in_the_childs_half_raises_as_the_serial_run(alg7, two_cpus, monkeypatch):
+    # the child exits 1, and the in-process rerun raises
+    _raises_as_the_serial_run(alg7, two_cpus, monkeypatch, lambda seen: seen[0])
+
+
+def test_a_check_raising_in_the_parents_half_raises_as_the_serial_run(alg7, two_cpus, monkeypatch):
+    # the parent kills and reaps the child, and the in-process rerun raises
+    _raises_as_the_serial_run(alg7, two_cpus, monkeypatch, lambda seen: seen[-1])
 
 
 def test_a_live_thread_means_no_fork(alg7, two_cpus):
@@ -88,8 +106,23 @@ def test_a_live_thread_means_no_fork(alg7, two_cpus):
     assert checks["associativity"] == {"trials": 4, "failures": 0, "ok": True}
 
 
-@pytest.mark.parametrize("call, code", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)],
-                         ids=["pipe", "fork"])
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_a_check_refusing_one_sample_in_either_half_counts_as_the_serial_run(
+    side, alg7, two_cpus, monkeypatch
+):
+    # a failing child exits 1 and the blocks rerun in-process, while a failure
+    # in the parent's half adds to the child's zeros
+    real, seen = _oracle_samples(monkeypatch, alg7)
+    refused = seen[0] if side == "child" else seen[-1]
+    monkeypatch.setattr(AlgebraElem, "regular_rep_det", lambda x: real(x) + (x == refused))
+    forked = run_algebra_checks(alg7, 0, 4)
+    _no_child_left()
+    assert two_cpus == [None]
+    assert forked == _serial(monkeypatch, alg7, 0, 4)
+    assert forked["norm_oracle_agreement"] == {"trials": 4, "failures": 1, "ok": False}
+
+
+@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN)], ids=["fork"])
 def test_no_pipe_or_child_to_spare_runs_in_process(call, code, alg7, two_cpus, monkeypatch):
     serial = _serial(monkeypatch, alg7, 0, 4)
     fds = _open_fds()
@@ -101,7 +134,8 @@ def test_no_pipe_or_child_to_spare_runs_in_process(call, code, alg7, two_cpus, m
 
 
 def test_cli_without_a_pipe_writes_the_golden_certificate(tmp_path, two_cpus, monkeypatch, capsys):
-    monkeypatch.setattr(os, "pipe", _refuse(errno.EMFILE))
+    # the trial blocks have no pipe; with no child to spare they run in-process
+    monkeypatch.setattr(os, "fork", _refuse(errno.EAGAIN))
     out = tmp_path / "cert_p7.json"
     assert cli.main(["--p", "7", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())

@@ -18,7 +18,6 @@ from sbcert.cyclotomic import k_coordinate_vector, make_field
 from sbcert.errors import CapExceeded, ZeroElement
 from sbcert.obstruction import choose_a
 from sbcert.projective import (
-    alpha_hat,
     canonicalize,
     cayley_table,
     check_isomorphism,
@@ -31,7 +30,6 @@ from sbcert.projective import (
     semidirect_table,
     table_orders,
     verify_relations,
-    xi_hat,
 )
 from sbcert.sampling import random_nonzero_algebra_elem
 
@@ -53,11 +51,16 @@ def _algebra(p):
     return CyclicAlgebra(make_field(p), choose_a(p))
 
 
+def _gens(algebra):
+    """zeta and alpha, which are the canonical elements of xi-hat and alpha-hat."""
+    return [algebra.embed(algebra.field.zeta()), algebra.alpha()]
+
+
 def _tabulated(algebra):
     """The full group's table and the table indices of xi-hat and alpha-hat."""
-    full = generate_subgroup([xi_hat(algebra), alpha_hat(algebra)])
+    full = generate_subgroup(_gens(algebra))
     classes = _classes(full)
-    return cayley_table(full), classes.index(xi_hat(algebra)), classes.index(alpha_hat(algebra))
+    return cayley_table(full), *map(classes.index, _gens(algebra))
 
 
 def _swapped(table, row, a, b):
@@ -157,6 +160,16 @@ def test_canonicalize_builds_no_fraction(monkeypatch, rng):
     assert all(_first_k_coordinate_is_one(c) for c in reps)
 
 
+@pytest.mark.parametrize("p", [7, 13, 19])
+def test_generators_are_canonical(p):
+    # group_report hands zeta and alpha to the expansion without canonicalizing
+    # them: the leading K-coordinate of each is already 1
+    algebra = _algebra(p)
+    for g in _gens(algebra):
+        assert _first_k_coordinate_is_one(g)
+        assert canonicalize(g) == g
+
+
 def test_canonicalize_detects_xi_scaling(alg7, field7, rng):
     x = random_nonzero_algebra_elem(alg7, rng)
     assert canonicalize(x.scale(field7.zeta())) != canonicalize(x)
@@ -216,7 +229,7 @@ def test_element_orders_match_the_bounded_walk_on_any_table(table):
 
 def test_xi_powers_nontrivial_below_p(alg7):
     e = alg7.one()
-    xi = xi_hat(alg7)
+    xi = _gens(alg7)[0]
     acc = xi
     for _ in range(6):
         assert acc != e
@@ -227,9 +240,9 @@ def test_xi_powers_nontrivial_below_p(alg7):
 def test_generate_subgroup(alg7, field7):
     e = alg7.one()
     assert generate_subgroup([e]) == [(e, (0,))]
-    xi_cyclic = generate_subgroup([xi_hat(alg7)])
+    xi_cyclic = generate_subgroup([_gens(alg7)[0]])
     assert len(xi_cyclic) == 7
-    gens = [xi_hat(alg7), alpha_hat(alg7)]
+    gens = _gens(alg7)
     full = generate_subgroup(gens)
     assert len(full) == 21
     assert full[0][0] == e
@@ -245,15 +258,15 @@ def test_generate_subgroup(alg7, field7):
 
 
 def test_generation_deterministic(alg7):
-    first = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
-    second = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
+    first = generate_subgroup(_gens(alg7))
+    second = generate_subgroup(_gens(alg7))
     assert first == second
 
 
 @pytest.mark.parametrize("p", [7, 13, 19])
 def test_generate_subgroup_matches_class_product_bfs(p):
     algebra = _algebra(p)
-    gens = [xi_hat(algebra), alpha_hat(algebra)]
+    gens = _gens(algebra)
     expected = generate_subgroup_by_class_products(gens)
     assert generate_subgroup(gens) == expected
 
@@ -265,8 +278,7 @@ def test_generate_subgroup_multiplies_small_monomials(p, a, monkeypatch):
     # denominator 11 at p = 19
     field = make_field(p)
     algebra = CyclicAlgebra(field, choose_a(p) if a is None else a)
-    gens = [xi_hat(algebra), alpha_hat(algebra)]
-    assert gens == [algebra.embed(field.zeta()), algebra.alpha()]
+    gens = _gens(algebra)
     factors = []
     real_mul = AlgebraElem.__mul__
 
@@ -294,9 +306,9 @@ def test_verify_relations(alg7):
         "alpha_cubed_trivial": True,
         "commutation_twist": True,
     }
-    assert alpha_hat(alg7) != alg7.one()
+    assert _gens(alg7)[1] != alg7.one()
     # the same relations multiplied out directly in the algebra
-    xi_c, al_c = xi_hat(alg7), alpha_hat(alg7)
+    xi_c, al_c = _gens(alg7)
     assert canonicalize(al_c * al_c * al_c) == alg7.one()
     assert canonicalize(xi_c * al_c) == canonicalize(al_c * xi_c * xi_c)
 
@@ -388,16 +400,16 @@ def test_isomorphism_rejects_non_bijective_phi(alg7):
     assert result["pairs_checked"] == 0
     assert result["counterexample"] is None
     # a table of the wrong order is rejected before phi is built
-    cyclic = cayley_table(generate_subgroup([xi_hat(alg7)]))
+    cyclic = cayley_table(generate_subgroup([_gens(alg7)[0]]))
     short = check_isomorphism(cyclic, 1, 0, semidirect_table(7, 2))
     assert not short["ok"] and short["pairs_checked"] == 0
 
 
 def test_jordan_index(alg7):
-    full = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
+    full = generate_subgroup(_gens(alg7))
     assert jordan_index_check(cayley_table(full)) == 3
     # degenerate guard: an abelian input reports index 1
-    cyclic = generate_subgroup([xi_hat(alg7)])
+    cyclic = generate_subgroup([_gens(alg7)[0]])
     assert jordan_index_check(cayley_table(cyclic)) == 1
 
 
@@ -406,10 +418,12 @@ def test_jordan_index_of_a_table_that_is_not_a_group():
     assert jordan_index_check([[0, 1, 2], [1, 1, 1], [2, 1, 0]]) == 0
     # every row holds 0, but no subgroup is normal and abelian
     assert jordan_index_check([[0, 0, 0], [0, 0, 2], [1, 1, 0]]) == 0
+    # the empty table has no identity; its whole-group entry is the empty set
+    assert jordan_index_check([]) == 0
 
 
 def test_group_table_structure(alg7):
-    full = generate_subgroup([xi_hat(alg7), alpha_hat(alg7)])
+    full = generate_subgroup(_gens(alg7))
     table = cayley_table(full)
     n = len(table)
     assert not is_abelian(table)
@@ -419,7 +433,7 @@ def test_group_table_structure(alg7):
         assert sorted(table[j][i] for j in range(n)) == list(range(n))
     # <xi-hat> is normal abelian of index 3
     e = 0
-    gen = _classes(full).index(xi_hat(alg7))
+    gen = _classes(full).index(_gens(alg7)[0])
     xi_sub = {e}
     cur = gen
     while cur != e:
@@ -444,15 +458,14 @@ def test_group_report_p7(alg7):
 
 
 def test_non_abelian_witness(alg7):
-    xi = xi_hat(alg7)
-    al = alpha_hat(alg7)
+    xi, al = _gens(alg7)
     assert canonicalize(xi * al) != canonicalize(al * xi)
 
 
 @pytest.mark.parametrize("p", [7, 13])
 def test_cayley_table_matches_brute_force(p):
     algebra = _algebra(p)
-    xi, al = xi_hat(algebra), alpha_hat(algebra)
+    xi, al = _gens(algebra)
     for gens in ([xi, al], [al, xi], [xi]):
         elements = generate_subgroup(gens)
         assert cayley_table(elements) == _brute_force_table(elements)
@@ -460,7 +473,7 @@ def test_cayley_table_matches_brute_force(p):
 
 def test_cayley_table_work_bound(monkeypatch):
     algebra = _algebra(19)
-    full = generate_subgroup([xi_hat(algebra), alpha_hat(algebra)])
+    full = generate_subgroup(_gens(algebra))
     assert len(full) == 57
     counts = _counting(monkeypatch, "canonicalize")
     cayley_table(full)
@@ -468,19 +481,19 @@ def test_cayley_table_work_bound(monkeypatch):
 
 
 def test_group_report_work_bound(monkeypatch):
-    # two generators and 2 * 57 closure products; the table, the relations,
-    # the orders and the isomorphism make none of their own
+    # the 2 * 57 closure products; the generators are already canonical, and
+    # the table, the relations, the orders and the isomorphism make none
     counts = _counting(monkeypatch, "canonicalize")
     assert group_report(_algebra(19)).failed_substage is None
-    assert counts["calls"] == 2 + 2 * 57
+    assert counts["calls"] == 2 * 57
 
 
 @pytest.mark.parametrize("p", [7, 19])
 def test_group_report_solves_each_leading_block_once(p, monkeypatch):
-    # 6p + 2 class products, but only 2p - 4 distinct leading K-blocks
+    # 6p class products, but only 2p - 6 distinct leading K-blocks
     counts = _counting(monkeypatch, "k_inverse_from_period_coords")
     assert group_report(_algebra(p)).failed_substage is None
-    assert counts["calls"] == 2 * p - 4
+    assert counts["calls"] == 2 * p - 6
 
 
 @pytest.mark.parametrize("p", [19, 31, 43, 61, 103])
