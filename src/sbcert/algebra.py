@@ -180,14 +180,13 @@ class AlgebraElem:
         return self._cofactors()[1]
 
     def inverse(self) -> "AlgebraElem":
-        """Two-sided inverse; both identities are verified before returning.
+        """Two-sided inverse; the identities it rests on are verified first.
 
-        Cofactor route: the components of x^-1 are the first row of
-        adj(M(x)) divided by the reduced norm, so only one field inversion
-        (of the norm, an element of K) is ever performed.  The suite checks
-        it against an independent 3x3 elimination over L, which is slower
-        because every pivot division is a field inversion on grown
-        intermediates.
+        C, the element of the first-column cofactors of M(x), has C * x =
+        x * C = Nrd(x), so x^-1 = C * Nrd(x)^-1 takes one field inversion, of
+        Nrd(x) in K.  K is the centre, so C * x == Nrd(x) == x * C and
+        Nrd(x) * Nrd(x)^-1 == 1 hold exactly when x^-1 is two-sided: checked on
+        the cofactors, not the grown inverse, and on k_inverse's output too.
         """
         if not self:
             raise DivisionByZero("inverse of the zero element")
@@ -198,11 +197,10 @@ class AlgebraElem:
                 "(the algebra is split for this parameter)"
             )
         det_inv = k_inverse(det)
-        inv = AlgebraElem(self.algebra, *(c * det_inv for c in cofactors))
-        one = self.algebra.one()
-        if inv * self != one or self * inv != one:
+        adj, nrd = AlgebraElem(self.algebra, *cofactors), self.algebra.embed(det)
+        if det * det_inv != det.field.one() or adj * self != nrd or self * adj != nrd:
             raise NotInvertible("cofactor route produced a one-sided inverse")
-        return inv
+        return adj.scale(det_inv)
 
     def regular_rep_rows(self):
         """Integer rows of left multiplication by x on A over Q, and their denominator.

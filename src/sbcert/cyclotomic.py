@@ -21,6 +21,9 @@ The periods are even an integral basis of O_K (Hilbert-Speiser), and
 {1, zeta, zeta^2} is an O_K-basis of Z[zeta] = O_K[zeta], so the products
 eta_i * zeta^j form a Z-basis of Z[zeta]: K-coordinates of num / den are
 integers over the same den, and the whole K-layer runs on integers.
+Norms and inverses are computed in K: N(x) is the k x k determinant of
+multiplication by the relative norm x * s(x) * s^2(x) on the periods, and
+x^-1 is s(x) * s^2(x) times the period-basis inverse of that norm.
 
 All values are immutable and every operation is pure, so everything here
 is safe to share between threads.
@@ -272,28 +275,18 @@ class FieldElem:
 
     # -- field-specific operations -----------------------------------------
 
-    def _conjugate_product(self):
-        """(rest, N(y)) for the integral y = den * x.
-
-        rest is the product of the p - 2 conjugates of y other than y itself,
-        so y * rest is the integer N(y).
-        """
-        y = FieldElem(self.field, self.num)
-        rest = self.field.one()
-        for t in range(2, self.field.p):
-            rest = rest * y.apply_aut(t)
-        return rest, (y * rest).num[0]
-
     def norm(self) -> Rat:
-        """The absolute norm N_{L/Q}(x), the product of all p - 1 conjugates."""
-        return Rat(self._conjugate_product()[1], self.den**self.field.degree)
+        """The absolute norm N_{L/Q}(x) = N_{K/Q}(N_{L/K}(x)), a k x k determinant."""
+        field, c = self.field, self.relative_norm()
+        rows = _period_mult_rows(field, k_coordinate_vector(field, c)[: field.k])
+        return Rat(linalg.det_rational(rows), c.den**field.k)
 
     def inv(self) -> "FieldElem":
-        """Multiplicative inverse via the norm: x^-1 = den * rest / N(den * x)."""
+        """Multiplicative inverse through K: x^-1 = rest * (x * rest)^-1, rest = s(x) * s^2(x)."""
         if not self:
             raise DivisionByZero("inverse of zero")
-        rest, norm_y = self._conjugate_product()
-        return rest * Rat(self.den, norm_y)
+        rest = self.sigma(1) * self.sigma(2)
+        return rest * k_inverse(self * rest)
 
     def apply_aut(self, t: int) -> "FieldElem":
         """The ring automorphism zeta^i -> zeta^(t*i mod p).
@@ -407,6 +400,13 @@ def _period_mult_matrices(field: CycloField):
     return tuple(mats)
 
 
+def _period_mult_rows(field: CycloField, vec) -> list:
+    """Integer rows of multiplication by sum(vec[i] * eta_i) on period coordinates."""
+    k = field.k
+    flat = _lincomb(vec, _period_mult_matrices(field), k * k)
+    return [flat[l * k : (l + 1) * k] for l in range(k)]
+
+
 def k_inverse_from_period_coords(field: CycloField, vec, den: int = 1) -> FieldElem:
     """Inverse of the fixed-field element sum(vec[i] * eta_i) / den, for integers vec.
 
@@ -417,11 +417,8 @@ def k_inverse_from_period_coords(field: CycloField, vec, den: int = 1) -> FieldE
     """
     if not any(vec):
         raise DivisionByZero("inverse of zero in the fixed field")
-    k = field.k
-    flat = _lincomb(vec, _period_mult_matrices(field), k * k)
-    mc = [flat[l * k : (l + 1) * k] for l in range(k)]
     # the periods sum to zeta + ... + zeta^(p-1) = -1
-    sol, sol_den = linalg.solve(mc, [-1] * k)
+    sol, sol_den = linalg.solve(_period_mult_rows(field, vec), [-1] * field.k)
     # c = vec / den, so 1/c = den * (the inverse of vec)
     return _from_period_ints(field, [den * y for y in sol], sol_den)
 

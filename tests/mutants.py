@@ -123,6 +123,31 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the norm divides by den^(p-1), not den^k",
+        "cyclotomic.py",
+        "c.den**field.k",
+        "c.den**field.degree",
+        (
+            "tests/test_cyclotomic.py::test_norm_values",
+            "tests/test_cyclotomic.py::test_norm_matches_the_conjugate_product_oracle",
+        ),
+    ),
+    Mutant(
+        # the cofactor identities still hold: only det * det_inv == 1 sees it
+        "k_inverse returns twice the inverse",
+        "cyclotomic.py",
+        "    return k_inverse_from_period_coords(x.field, coords[: x.field.k], x.den)",
+        "    return 2 * k_inverse_from_period_coords(x.field, coords[: x.field.k], x.den)",
+        ("tests/test_algebra.py::test_division_property",),
+    ),
+    Mutant(
+        "inverse without its check of det * det_inv",
+        "algebra.py",
+        "det * det_inv != det.field.one() or ",
+        "",
+        ("tests/test_certificate_cli.py::test_division_failure_fails_algebra_stage",),
+    ),
+    Mutant(
         "row 1 of the splitting matrix without its a",
         "algebra.py",
         "(t2 * a, t0, t1)",
@@ -305,6 +330,51 @@ MUTANTS = (
         (
             "tests/test_projective.py::test_element_orders",
             "tests/test_projective.py::test_element_orders_return_on_a_broken_table",
+        ),
+    ),
+    Mutant(
+        "the norm search runs to height bound + 1",
+        "obstruction.py",
+        "for h in range(1, bound + 1):",
+        "for h in range(1, bound + 2):",
+        ("tests/test_obstruction.py::test_search_visits_exactly_the_candidates_the_report_claims",),
+    ),
+    Mutant(
+        "the enumeration cap refuses a search of exactly its size",
+        "obstruction.py",
+        "if total > DEFAULT_ENUMERATION_CAP:",
+        "if total >= DEFAULT_ENUMERATION_CAP:",
+        ("tests/test_obstruction.py::test_search_cap_admits_exactly_its_own_size",),
+    ),
+    Mutant(
+        "the 10p subgroup cap refuses exactly 10p classes",
+        "projective.py",
+        "if len(index) > cap:",
+        "if len(index) >= cap:",
+        ("tests/test_projective.py::test_generation_cap_admits_exactly_10p_classes[70]",),
+    ),
+    Mutant(
+        "is_abelian compares entries by !=",
+        "projective.py",
+        "table[i][j] == table[j][i]",
+        "table[i][j] != table[j][i]",
+        ("tests/test_projective.py::test_is_abelian_on_cyclic_and_non_abelian_tables",),
+    ),
+    Mutant(
+        "the isomorphism counterexample splits its first index by 4",
+        "projective.py",
+        "divmod(gi, 3)",
+        "divmod(gi, 4)",
+        ("tests/test_projective.py::test_isomorphism_counterexample_is_the_first_broken_pair",),
+    ),
+    Mutant(
+        "group_report reads its generator indices from elements[1]",
+        "projective.py",
+        "xi_i, al_i = elements[0][1]",
+        "xi_i, al_i = elements[1][1]",
+        (
+            "tests/test_projective.py::"
+            "test_group_report_reads_the_generators_at_the_classes_of_zeta_and_alpha",
         ),
     ),
     Mutant(

@@ -1,5 +1,8 @@
 """Test-only oracles: slow, direct routes that the package's fast ones must agree with."""
 
+from math import lcm
+
+from sbcert import linalg
 from sbcert.algebra import AlgebraElem
 from sbcert.cyclotomic import gaussian_periods, k_coordinate_vector
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch, ZeroElement
@@ -28,6 +31,39 @@ def schoolbook_mul(field, x, y):
         prod.pop()
     prod += [Rat(0)] * (n - len(prod))
     return field.element(prod)
+
+
+def int_columns(x):
+    """Columns x * zeta^e of multiplication by x, as integers over their common den.
+
+    The den is the lcm of the columns' own dens, not taken from x.
+    """
+    field = x.field
+    cols = [x * field.zeta(e) for e in range(field.degree)]
+    den = lcm(*(c.den for c in cols))
+    return [[v * (den // c.den) for v in c.num] for c in cols], den
+
+
+def inv_linear_solve(x):
+    """x^-1 by solving the multiplication-by-x system over Q, in L; no route through K."""
+    cols, den = int_columns(x)
+    n = len(cols)
+    sol, sol_den = linalg.solve([list(row) for row in zip(*cols)], [den] + [0] * (n - 1))
+    return x.field.element([Rat(y, sol_den) for y in sol])
+
+
+def norm_by_conjugates(x) -> Rat:
+    """N_{L/Q}(x) as the product of its p - 1 conjugates zeta -> zeta^t.
+
+    FieldElem.norm() goes through the fixed field K instead: a k x k
+    determinant of multiplication by the relative norm.
+    """
+    prod = x.field.one()
+    for t in range(1, x.field.p):
+        prod = prod * x.apply_aut(t)
+    if any(prod.num[1:]):
+        raise AssertionError("the product of all conjugates is not rational")
+    return prod.coords[0]
 
 
 def mat_mul(field, lhs, rhs):
@@ -100,7 +136,8 @@ def regular_rep_rows_by_products(x: AlgebraElem) -> list:
 def inverse_via_solve(x: AlgebraElem) -> AlgebraElem:
     """Two-sided inverse by 3x3 Gauss-Jordan elimination over L.
 
-    Independent of the cofactor route of AlgebraElem.inverse(); right
+    Independent of the cofactor route of AlgebraElem.inverse(), and its
+    pivots are inverted by inv_linear_solve, not through K; right
     multiplication by the unknown is L-linear, i.e. the system is
     M(x)^T y = e0.
     """
@@ -117,7 +154,7 @@ def inverse_via_solve(x: AlgebraElem) -> AlgebraElem:
                 "norm zero (the algebra is split for this parameter)"
             )
         rows[k], rows[pivot] = rows[pivot], rows[k]
-        pivot_inv = rows[k][k].inv()
+        pivot_inv = inv_linear_solve(rows[k][k])
         rows[k] = [e * pivot_inv for e in rows[k]]
         for i in range(3):
             factor = rows[i][k]
@@ -152,7 +189,7 @@ def rank(matrix) -> int:
 
 
 def class_eq(x: AlgebraElem, y: AlgebraElem) -> bool:
-    """Direct test for x = c*y with c in K*; independent of canonicalize()."""
+    """Direct test for x = c*y with c in K*; independent of canonicalize() and k_inverse."""
     if not x or not y:
         raise ZeroElement("projective comparison of the zero element")
     if x.algebra != y.algebra:
@@ -161,7 +198,7 @@ def class_eq(x: AlgebraElem, y: AlgebraElem) -> bool:
     xc = x.components[pivot]
     if not xc:
         return False
-    ratio = xc * y.components[pivot].inv()
+    ratio = xc * inv_linear_solve(y.components[pivot])
     if not ratio.is_in_K():
         return False
     return x == y.scale(ratio)

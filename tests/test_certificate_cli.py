@@ -1,9 +1,13 @@
 """Pipeline orchestration, certificate serialization, CLI behavior."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbcert.algebra as algebra_module
 import sbcert.cli as cli
@@ -459,3 +463,57 @@ def test_cli_stage_error_exits_3(monkeypatch, capsys):
     assert captured.err == (
         "sbcert: error: internal check raised CapExceeded: closure exceeded its cap\n"
     )
+
+
+
+_JUNK = st.sampled_from(["", "x", "1.5", "0x7", "7e0"])
+_ANY_INT = st.integers(-(10**30), 10**30)
+
+
+# derandomized: the suite draws the same examples on every run
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.data())
+def test_cli_exits_0_1_or_2_without_a_traceback(data):
+    # at most one option takes a bad value; the rest are drawn so that a run
+    # ends within a second: p is 7 or 13 and trials at most 2, and a search
+    # bound of 1 only at p = 7 (at p = 13 that search takes 16 s), otherwise
+    # 0, omitted, or large enough that the cap refuses it before the search
+    draw = data.draw
+    p = draw(st.sampled_from([7, 13]))
+    values = {
+        "--p": st.just(p),
+        "--a": st.none() | _ANY_INT,
+        "--seed": st.none() | _ANY_INT,
+        "--trials": st.sampled_from([1, 2]),
+        "--norm-search-bound": st.sampled_from([None, 0, int(p == 7), 6 if p == 7 else 2, 10**6]),
+    }
+    bad = draw(st.none() | st.sampled_from(list(values)))
+    if bad is not None:
+        # make_field rejects every p outside 14 .. 103 but 7 and 13
+        out_of_range = {
+            "--p": _ANY_INT.filter(lambda n: n not in (7, 13) and not 14 <= n <= 103),
+            "--a": st.nothing(),
+            "--seed": st.nothing(),
+            "--trials": st.integers(max_value=0),
+            "--norm-search-bound": st.integers(max_value=-1),
+        }
+        values[bad] = out_of_range[bad] | _JUNK
+    argv = []
+    for name, strategy in values.items():
+        value = draw(strategy)
+        if value is not None:
+            argv.append(f"{name}={value}")
+    argv += draw(st.sampled_from([[], ["--quiet"]]))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines()[-1].startswith("sbcert: error: ")
+    else:
+        assert json.loads(out.getvalue())["overall"] == ("PASS", "FAIL")[code]

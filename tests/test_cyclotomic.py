@@ -1,11 +1,17 @@
 """Cyclotomic field arithmetic against independent schoolbook oracles."""
 
 import operator
-from math import lcm
 
 import pytest
 from draws import random_k_star_elem, random_nonzero_field_elem
-from oracles import decompose_over_K, rank, schoolbook_mul
+from oracles import (
+    decompose_over_K,
+    int_columns,
+    inv_linear_solve,
+    norm_by_conjugates,
+    rank,
+    schoolbook_mul,
+)
 
 import sbcert.cyclotomic as cyclotomic
 from sbcert import linalg
@@ -28,28 +34,10 @@ from sbcert.errors import (
     SingularBasis,
     WrongResidue,
 )
+from sbcert.obstruction import choose_a
 from sbcert.projective import canonicalize
 from sbcert.rationals import Rat
-from sbcert.sampling import random_field_elem, random_nonzero_algebra_elem
-
-
-def _int_columns(x):
-    """Columns x * zeta^e of multiplication by x, as integers over their common den.
-
-    The den is the lcm of the columns' own dens, not taken from x.
-    """
-    field = x.field
-    cols = [x * field.zeta(e) for e in range(field.degree)]
-    den = lcm(*(c.den for c in cols))
-    return [[v * (den // c.den) for v in c.num] for c in cols], den
-
-
-def _inv_linear_solve(x):
-    # invert by solving the multiplication-by-x linear system over Q
-    cols, den = _int_columns(x)
-    n = len(cols)
-    sol, sol_den = linalg.solve([list(row) for row in zip(*cols)], [den] + [0] * (n - 1))
-    return x.field.element([Rat(y, sol_den) for y in sol])
+from sbcert.sampling import random_algebra_elem, random_field_elem, random_nonzero_algebra_elem
 
 
 def test_make_field_examples():
@@ -254,7 +242,7 @@ def test_inv_agrees_with_linear_solve_oracle(field7, field13, rng):
     for field in (field7, field13):
         for _ in range(25):
             x = random_nonzero_field_elem(field, rng)
-            assert x.inv() == _inv_linear_solve(x)
+            assert x.inv() == inv_linear_solve(x)
             assert x * x.inv() == field.one()
 
 
@@ -269,8 +257,20 @@ def test_norm_values(field7, field13, rng):
             y = random_field_elem(field, rng)
             assert (x * y).norm() == x.norm() * y.norm()
             # N(x) is the determinant of multiplication by x over Q
-            cols, den = _int_columns(x)
+            cols, den = int_columns(x)
             assert x.norm() == Rat(linalg.det_rational(cols), den ** len(cols))
+
+
+def test_norm_matches_the_conjugate_product_oracle(rng):
+    # norm() goes through K; the oracle multiplies all p - 1 conjugates in L
+    for p, draws in ((7, 25), (13, 25), (31, 3)):
+        field = make_field(p)
+        algebra = CyclicAlgebra(field, choose_a(p))
+        for _ in range(draws):
+            x = random_field_elem(field, rng)
+            nrd = random_algebra_elem(algebra, rng).reduced_norm()
+            assert x.norm() == norm_by_conjugates(x)
+            assert nrd.norm() == norm_by_conjugates(nrd)
 
 
 def test_apply_aut_identity_and_generator(field7, rng):

@@ -1,16 +1,24 @@
-"""The golden files' claims re-derived from p alone, without importing sbcert.
+"""The golden files' claims re-derived from p alone.
 
 test_golden.py pins the goldens byte for byte against the program; this
 module checks that what they pin is what the mathematics says, so a golden
 regenerated from a wrong program does not pass here.  For Z/p x| Z/3 the
 elements of order p are the p - 1 non-trivial elements of Z/p, and every
-element outside Z/p has order 3: 2p of them.
+element outside Z/p has order 3: 2p of them.  At the primes up to the cap
+that have no golden, the program's encoded group report is held to the
+same claims.
 """
 
 import json
 from pathlib import Path
 
 import pytest
+
+from sbcert.algebra import CyclicAlgebra
+from sbcert.certificate import _encode
+from sbcert.cyclotomic import make_field
+from sbcert.obstruction import choose_a
+from sbcert.projective import group_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -39,6 +47,13 @@ def _assert_group_claims(p, block):
 @pytest.mark.parametrize("p", [19, 31, 43, 61, 103])
 def test_group_golden_claims(p):
     _assert_group_claims(p, _load(f"group_p{p}.json"))
+
+
+# with the goldens' 7, 13, 19, 31, 43, 61 and 103, every p = 1 (mod 3) up to the cap
+@pytest.mark.parametrize("p", [37, 67, 73, 79, 97])
+def test_group_claims_at_the_primes_without_a_golden(p):
+    report = group_report(CyclicAlgebra(make_field(p), choose_a(p)))
+    _assert_group_claims(p, _encode(report))
 
 
 @pytest.mark.parametrize("p", [7, 13, 31])

@@ -1,7 +1,11 @@
 """Cube-residue obstruction and brute-force norm search."""
 
+import random
+
 import pytest
 
+import sbcert.obstruction as obstruction
+from sbcert.cyclotomic import FieldElem, is_prime, make_field
 from sbcert.errors import BadResidue, BoundTooLarge
 from sbcert.obstruction import (
     brute_force_norm_search,
@@ -11,6 +15,10 @@ from sbcert.obstruction import (
     obstruction_report,
     search_candidate_count,
 )
+from sbcert.sampling import random_field_elem
+
+# every prime p = 1 (mod 3) that make_field accepts
+PRIMES_TO_THE_CAP = [p for p in range(7, 104) if p % 3 == 1 and is_prime(p)]
 
 
 def test_cubes_mod_p_examples():
@@ -66,6 +74,27 @@ def test_search_respects_cap(field13):
         brute_force_norm_search(field13, 2, 2)  # 5^12 candidates
 
 
+def test_search_cap_admits_exactly_its_own_size(field7, monkeypatch):
+    # a search of exactly the cap's 729 candidates runs; one fewer allowed refuses it
+    monkeypatch.setattr(obstruction, "DEFAULT_ENUMERATION_CAP", 729)
+    assert brute_force_norm_search(field7, 2, 1) is None
+    monkeypatch.setattr(obstruction, "DEFAULT_ENUMERATION_CAP", 728)
+    with pytest.raises(BoundTooLarge):
+        brute_force_norm_search(field7, 2, 1)
+
+
+def test_search_visits_exactly_the_candidates_the_report_claims(field7, monkeypatch):
+    # search_candidates is a claim about the search: each element of height
+    # at most the bound is tried once, and nothing else
+    seen = []
+    real = FieldElem.relative_norm
+    monkeypatch.setattr(FieldElem, "relative_norm", lambda x: seen.append(x) or real(x))
+    rep = obstruction_report(field7, 2, 1)
+    assert rep.witness_found is None
+    assert len(seen) == len(set(seen)) == rep.search_candidates == 729
+    assert all(c in (-1, 0, 1) for x in seen for c in x.coords)
+
+
 def test_search_witness_has_right_norm(field7):
     witness = brute_force_norm_search(field7, -1, 1)
     assert witness is not None
@@ -104,3 +133,23 @@ def test_grade_checks_the_enumerated_cube_set(field7, monkeypatch):
     rep = obstruction_report(field7, 6, 0)
     assert not rep.is_cube and 6 in rep.cubes_mod_p
     assert not rep.certificate_grade
+
+
+def _mod_p(q, p: int) -> int:
+    """The residue mod p of a rational whose denominator is prime to p."""
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_THE_CAP)
+def test_local_step_of_the_imported_lemma(p):
+    # the two facts the imported lemma's local step rests on, as identities of
+    # the package's own arithmetic: 1 - zeta has norm p, so it generates the
+    # prime above p, with residue field F_p; and reduction mod (1 - zeta), which
+    # sends zeta to 1 and so reads the coordinate sum mod p, sends N_{L/K}(y)
+    # to y(1)^3
+    field = make_field(p)
+    assert (field.one() - field.zeta()).norm() == p
+    rng = random.Random(p)
+    for _ in range(20):
+        y = random_field_elem(field, rng)
+        assert _mod_p(sum(y.relative_norm().coords), p) == pow(_mod_p(sum(y.coords), p), 3, p)

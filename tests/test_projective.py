@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from draws import random_k_star_elem
@@ -18,6 +19,7 @@ from sbcert.cyclotomic import k_coordinate_vector, make_field
 from sbcert.errors import CapExceeded, ZeroElement
 from sbcert.obstruction import choose_a
 from sbcert.projective import (
+    ISO_CONVENTION,
     canonicalize,
     cayley_table,
     check_isomorphism,
@@ -257,6 +259,26 @@ def test_generate_subgroup(alg7, field7):
         generate_subgroup([one_plus_zeta])
 
 
+class _Power(int):
+    """g^e in a cyclic group, held as e; canonicalize is patched to reduce e mod the order."""
+
+    algebra = SimpleNamespace(field=SimpleNamespace(p=7), one=lambda: _Power(0))
+
+    def __mul__(self, other):
+        return _Power(int(self) + int(other))
+
+
+@pytest.mark.parametrize("order", [70, 71])
+def test_generation_cap_admits_exactly_10p_classes(order, monkeypatch):
+    # at p = 7 the cap is 70 classes: a cyclic group of order 70 closes, 71 raises
+    monkeypatch.setattr(projective, "canonicalize", lambda y, inverses: y % order)
+    if order > 70:
+        with pytest.raises(CapExceeded):
+            generate_subgroup([_Power(1)])
+    else:
+        assert len(generate_subgroup([_Power(1)])) == order
+
+
 def test_generation_deterministic(alg7):
     first = generate_subgroup(_gens(alg7))
     second = generate_subgroup(_gens(alg7))
@@ -392,6 +414,21 @@ def test_isomorphism_rejects_wrong_twist(alg7):
     assert result["counterexample"] is not None
 
 
+def test_isomorphism_counterexample_is_the_first_broken_pair():
+    # on the reference table, xi = (1, 0) at index 3 and alpha-hat = (0, 2) at
+    # index 2 make phi the identity; one moved entry is found in scan order
+    table = semidirect_table(7, 2)
+    assert check_isomorphism(table, 3, 2, table)["ok"]
+    broken = [row[:] for row in table]
+    broken[4][5] = table[4][6]
+    assert check_isomorphism(broken, 3, 2, table) == {
+        "ok": False,
+        "pairs_checked": 4 * 21 + 6,
+        "convention": ISO_CONVENTION,
+        "counterexample": ((1, 1), (1, 2)),
+    }
+
+
 def test_isomorphism_rejects_non_bijective_phi(alg7):
     table, xi, al = _tabulated(alg7)
     # xi == al: phi(u, v) = al^(u + 2v) takes only three values
@@ -455,6 +492,32 @@ def test_group_report_p7(alg7):
     assert report.isomorphism["pairs_checked"] == 441
     assert report.jordan_index == 3
     assert report.non_abelian
+
+
+def test_is_abelian_on_cyclic_and_non_abelian_tables():
+    for n in (1, 2, 7, 21):
+        assert is_abelian([[(i + j) % n for j in range(n)] for i in range(n)])
+    assert not is_abelian(semidirect_table(7, 2))
+
+
+def test_group_report_reads_the_generators_at_the_classes_of_zeta_and_alpha(alg7, monkeypatch):
+    # the classes of zeta^2 and zeta * alpha would pass every check as well
+    seen = []
+
+    def recording(real):
+        def record(table, xi, al, *rest):
+            seen.append((xi, al))
+            return real(table, xi, al, *rest)
+
+        return record
+
+    for name in ("verify_relations", "check_isomorphism"):
+        monkeypatch.setattr(projective, name, recording(getattr(projective, name)))
+    report = group_report(alg7)
+    classes = _classes(generate_subgroup(_gens(alg7)))
+    expected = tuple(classes.index(canonicalize(g)) for g in _gens(alg7))
+    assert seen == [expected, expected]
+    assert report.generator_orders == {"xi_hat": 7, "alpha_hat": 3}
 
 
 def test_non_abelian_witness(alg7):
