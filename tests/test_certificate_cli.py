@@ -489,7 +489,8 @@ def test_cli_exits_0_1_or_2_without_a_traceback(data):
     }
     bad = draw(st.none() | st.sampled_from(list(values)))
     if bad is not None:
-        # make_field rejects every p outside 14 .. 103 but 7 and 13
+        # make_field rejects every p outside 14 .. 103 but 7 and 13; every int
+        # is a well-formed --a and --seed, so only junk is bad there
         out_of_range = {
             "--p": _ANY_INT.filter(lambda n: n not in (7, 13) and not 14 <= n <= 103),
             "--a": st.nothing(),
