@@ -14,7 +14,9 @@ matrix M(y), the components of alpha^i * y, is
 
 and the product is the row vector x * y = (x0, x1, x2) M(y).  The
 transposed s/s^2 twist is still associative but fails lambda*alpha =
-alpha*s(lambda), which the defining relation tests check.
+alpha*s(lambda), which the defining relation tests check.  Rows 1 and 2
+are built once per element, on first use, and kept in its _twisted slot;
+equality and hashing read the components only.
 
 M is right multiplication on the left-L basis {1, alpha, alpha^2}: it is
 multiplicative, its determinant is the reduced norm Nrd(x), and the first
@@ -89,7 +91,7 @@ class CyclicAlgebra:
 class AlgebraElem:
     """x0 + x1*alpha + x2*alpha^2; components is the tuple (x0, x1, x2) in L."""
 
-    __slots__ = ("algebra", "components")
+    __slots__ = ("algebra", "components", "_twisted")
 
     def __init__(self, algebra: CyclicAlgebra, x0: FieldElem, x1: FieldElem, x2: FieldElem):
         self.algebra = algebra
@@ -129,10 +131,13 @@ class AlgebraElem:
         """Row i of the splitting matrix: the components of alpha^i * self."""
         if not i:
             return self.components
-        x0, x1, x2 = self.components
-        a, k = self.algebra.a, 3 - i
-        t0, t1, t2 = x0.sigma(k), x1.sigma(k), x2.sigma(k)
-        return (t2 * a, t0, t1) if i == 1 else (t1 * a, t2 * a, t0)
+        try:
+            twisted = self._twisted
+        except AttributeError:
+            a = self.algebra.a
+            (s0, s1, s2), (t0, t1, t2) = ([c.sigma(k) for c in self.components] for k in (2, 1))
+            twisted = self._twisted = (s2 * a, s0, s1), (t1 * a, t2 * a, t0)
+        return twisted[i - 1]
 
     def scale(self, factor) -> "AlgebraElem":
         """Multiply every component by a scalar from L (or a rational)."""

@@ -21,17 +21,18 @@ classes by canonical element and records each element's products with the
 generators.  The table is built from those edges by index, and the
 relations, the element orders and phi are read off it, so a group stage
 makes 6p class products (2 * 3p expansion products).  Every product is
-canonicalized, but the expansion keeps one dict of leading K-blocks and
-their inverses for the length of the call, so only the 2p - 6 distinct
-leading blocks are solved (32 of the 114 products at p = 19).
+canonicalized, but the expansion keeps one dict from the primitive part of
+each leading K-block to its inverse for the length of the call, so only
+p - 5 blocks are solved for 13 <= p <= 103 (14 of 114 products at p = 19).
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .algebra import AlgebraElem, CyclicAlgebra
-from .cyclotomic import k_coordinate_vector, k_inverse_from_period_coords
+from .cyclotomic import _reduced, k_coordinate_vector, k_inverse_from_period_coords
 from .errors import CapExceeded, ZeroElement
 
 ISO_CONVENTION = "phi(u, v) = xi_hat^u * (alpha_hat^2)^v"
@@ -40,8 +41,9 @@ ISO_CONVENTION = "phi(u, v) = xi_hat^u * (alpha_hat^2)^v"
 def canonicalize(x: AlgebraElem, inverses: Optional[dict] = None) -> AlgebraElem:
     """The canonical representative of the class of a nonzero algebra element.
 
-    inverses maps a leading K-block (block, den) to its inverse: a block
-    found there is not solved again, and a solved one is added.
+    inverses maps the primitive part of a leading K-block (over its gcd,
+    first nonzero entry positive) to its inverse: a rational multiple of a
+    block found there is not solved again, and a solved one is added.
     """
     if inverses is None:
         inverses = {}
@@ -49,19 +51,17 @@ def canonicalize(x: AlgebraElem, inverses: Optional[dict] = None) -> AlgebraElem
         raise ZeroElement("the zero element has no projective class")
     field = x.algebra.field
     k = field.k
-    for comp in x.components:
-        if comp:
-            vec = k_coordinate_vector(field, comp)
-            for j in range(3):
-                block = vec[j * k : (j + 1) * k]
-                if any(block):
-                    key = (block, comp.den)
-                    scale = inverses.get(key)
-                    if scale is None:
-                        scale = k_inverse_from_period_coords(field, block, comp.den)
-                        inverses[key] = scale
-                    return x.scale(scale)
-    raise AssertionError("unreachable: nonzero element with zero K-coordinates")
+    comp = next(filter(None, x.components))
+    vec = k_coordinate_vector(field, comp)
+    block = next(b for b in (vec[j * k : (j + 1) * k] for j in range(3)) if any(b))
+    g = gcd(*block) if next(filter(None, block)) > 0 else -gcd(*block)
+    prim = tuple(c // g for c in block)
+    inv = inverses.get(prim)
+    if inv is None:
+        inv = inverses[prim] = k_inverse_from_period_coords(field, prim, 1)
+    # block / den = g * prim / den, so its inverse is inv * den / g
+    f = comp.den if g > 0 else -comp.den
+    return x.scale(_reduced(field, [c * f for c in inv.num], inv.den * abs(g)))
 
 
 def generate_subgroup(gens) -> list:
@@ -195,6 +195,12 @@ def semidirect_table(p: int, d: int) -> list:
     ]
 
 
+def _square(table, n: int) -> bool:
+    """Whether table is n >= 1 rows of n entries, each in range(n)."""
+    shaped = len(table) == n > 0 and all(len(row) == n for row in table)
+    return shaped and min(map(min, table)) >= 0 and max(map(max, table)) < n
+
+
 def is_group(table, gens) -> bool:
     """Whether table is a group with identity 0 that the indices gens generate.
 
@@ -203,10 +209,12 @@ def is_group(table, gens) -> bool:
     must reach all n elements, and Light's test must hold: (x s) y == x (s y)
     for every s in gens and all x, y.  The elements that satisfy that law
     are closed under products, so once gens generate, it is associativity
-    of the whole table (Clifford-Preston I, 1.2): n^2 comparisons per
-    generator instead of n^3.
+    of the whole table (Clifford-Preston I, 1.2).  The rows are lists: row
+    x s is compared with row x read through row s, n^2 entries per generator.
     """
     n = len(table)
+    if not _square(table, n) or not all(0 <= s < n for s in gens):
+        return False
     if any(table[0][j] != j or table[j][0] != j or 0 not in table[j] for j in range(n)):
         return False
     reached = [0]
@@ -220,10 +228,9 @@ def is_group(table, gens) -> bool:
     if len(reached) != n:
         return False
     return all(
-        table[table[x][s]][y] == table[x][table[s][y]]
+        table[table[x][s]] == list(map(table[x].__getitem__, table[s]))
         for s in gens
         for x in range(n)
-        for y in range(n)
     )
 
 
@@ -246,7 +253,7 @@ def check_isomorphism(table, xi: int, al: int, abstract) -> dict:
     The answer is the certificate's isomorphism block, convention included.
     """
     n = len(abstract)
-    if len(table) != n:
+    if not _square(table, n) or not (0 <= xi < n and 0 <= al < n):
         return _iso_result(False)
     phi = []
     x = 0
@@ -255,15 +262,12 @@ def check_isomorphism(table, xi: int, al: int, abstract) -> dict:
         x = table[x][xi]
     if sorted(phi) != list(range(n)):
         return _iso_result(False)
-    pairs = 0
-    for gi in range(n):
+    for gi, arow in enumerate(abstract):
         prow = table[phi[gi]]
-        arow = abstract[gi]
-        for hi in range(n):
-            pairs += 1
-            if prow[phi[hi]] != phi[arow[hi]]:
-                return _iso_result(False, pairs, (divmod(gi, 3), divmod(hi, 3)))
-    return _iso_result(True, pairs)
+        if list(map(prow.__getitem__, phi)) != list(map(phi.__getitem__, arow)):
+            hi = next(hi for hi in range(n) if prow[phi[hi]] != phi[arow[hi]])
+            return _iso_result(False, gi * n + hi + 1, (divmod(gi, 3), divmod(hi, 3)))
+    return _iso_result(True, n * n)
 
 
 def jordan_index_check(table) -> int:

@@ -150,8 +150,8 @@ MUTANTS = (
     Mutant(
         "row 1 of the splitting matrix without its a",
         "algebra.py",
-        "(t2 * a, t0, t1)",
-        "(t2, t0, t1)",
+        "(s2 * a, s0, s1)",
+        "(s2, s0, s1)",
         _ASSOCIATIVITY,
     ),
     Mutant(
@@ -164,8 +164,15 @@ MUTANTS = (
     Mutant(
         "row 1 of the splitting matrix permuted",
         "algebra.py",
-        "(t2 * a, t0, t1)",
-        "(t2 * a, t1, t0)",
+        "(s2 * a, s0, s1)",
+        "(s2 * a, s1, s0)",
+        _ASSOCIATIVITY,
+    ),
+    Mutant(
+        "the kept splitting rows answer row 1 for row 2",
+        "algebra.py",
+        "return twisted[i - 1]",
+        "return twisted[0]",
         _ASSOCIATIVITY,
     ),
     Mutant(
@@ -179,8 +186,8 @@ MUTANTS = (
         # the opposite algebra is associative too: only the defining relation sees it
         "the transposed s/s^2 twist of rows 1 and 2",
         "algebra.py",
-        "a, k = self.algebra.a, 3 - i",
-        "a, k = self.algebra.a, i",
+        "for k in (2, 1))",
+        "for k in (1, 2))",
         ("tests/test_algebra.py::test_lambda_alpha_relation",),
     ),
     Mutant(
@@ -254,14 +261,39 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "canonicalize's inverse memo keyed without den",
+        "the cached inverse applied without den / g",
         "projective.py",
-        "key = (block, comp.den)",
-        "key = block",
+        "[c * f for c in inv.num], inv.den * abs(g)",
+        "inv.num, inv.den",
         (
-            "tests/test_projective.py::test_canonicalize_inverse_memo_is_transparent[7]",
-            "tests/test_projective.py::test_canonicalize_inverse_memo_is_transparent[13]",
+            "tests/test_projective.py::test_canonical_rep_normalization",
+            "tests/test_projective.py::test_rational_multiples_share_one_memo_entry[7]",
         ),
+    ),
+    Mutant(
+        # still canonical: a block and its negative only take two solves
+        "canonicalize's memo key without its sign normalization",
+        "projective.py",
+        "gcd(*block) if next(filter(None, block)) > 0 else -gcd(*block)",
+        "gcd(*block)",
+        ("tests/test_projective.py::test_group_report_solves_each_leading_block_once[19]",),
+    ),
+    Mutant(
+        "Light's test compares row x s with row x unmapped",
+        "projective.py",
+        "== list(map(table[x].__getitem__, table[s]))",
+        "== table[x]",
+        (
+            "tests/test_projective.py::test_abstract_group_p7",
+            "tests/test_projective.py::test_table_checks_match_the_entry_by_entry_oracles",
+        ),
+    ),
+    Mutant(
+        "the table range check admits the entry n",
+        "projective.py",
+        "max(map(max, table)) < n",
+        "max(map(max, table)) <= n",
+        ("tests/test_projective.py::test_table_checks_return_a_verdict_on_an_entry_out_of_range",),
     ),
     Mutant(
         "the float guard of ints_over_den removed",

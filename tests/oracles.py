@@ -6,7 +6,7 @@ from sbcert import linalg
 from sbcert.algebra import AlgebraElem
 from sbcert.cyclotomic import gaussian_periods, k_coordinate_vector
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch, ZeroElement
-from sbcert.projective import canonicalize
+from sbcert.projective import ISO_CONVENTION, canonicalize
 from sbcert.rationals import Rat
 
 
@@ -220,3 +220,69 @@ def table_orders_by_bounded_walk(table) -> list:
             m += 1
         orders.append(0 if x else m)
     return orders
+
+
+def is_group_by_entries(table, gens) -> bool:
+    """is_group with Light's test entry by entry: (x s) y == x (s y) for all s, x, y.
+
+    The package's is_group compares whole rows instead, after a range check
+    that this oracle leaves out: it is only called on tables over range(n).
+    """
+    n = len(table)
+    if any(table[0][j] != j or table[j][0] != j or 0 not in table[j] for j in range(n)):
+        return False
+    reached = [0]
+    seen = {0}
+    for x in reached:
+        for s in gens:
+            y = table[x][s]
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    if len(reached) != n:
+        return False
+    return all(
+        table[table[x][s]][y] == table[x][table[s][y]]
+        for s in gens
+        for x in range(n)
+        for y in range(n)
+    )
+
+
+def iso_images(table, xi: int, al: int, n: int) -> list:
+    """phi(u, v) = xi^u * (al^2)^v at index 3u + v, by walking the table from 0."""
+    phi = []
+    x = 0
+    for _ in range(n // 3):
+        for v in range(3):
+            y = x
+            for _ in range(2 * v):
+                y = table[y][al]
+            phi.append(y)
+        x = table[x][xi]
+    return phi
+
+
+def check_isomorphism_by_entries(table, xi: int, al: int, abstract) -> dict:
+    """check_isomorphism with phi's homomorphism test pair by pair, in scan order.
+
+    The package compares one row per abstract element and scans a row only
+    once it has found it broken; the verdict, pairs_checked and the
+    counterexample must agree.  Tables over range(n) only, as above.
+    """
+    n = len(abstract)
+    result = {"ok": False, "pairs_checked": 0, "convention": ISO_CONVENTION,
+              "counterexample": None}
+    if len(table) != n:
+        return result
+    phi = iso_images(table, xi, al, n)
+    if sorted(phi) != list(range(n)):
+        return result
+    for gi in range(n):
+        for hi in range(n):
+            result["pairs_checked"] += 1
+            if table[phi[gi]][phi[hi]] != phi[abstract[gi][hi]]:
+                result["counterexample"] = (divmod(gi, 3), divmod(hi, 3))
+                return result
+    result["ok"] = True
+    return result
