@@ -47,20 +47,8 @@ from .rationals import Rat, ints_over_den
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk scale, p <= ~10^4)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    top = isqrt(n)
-    while f <= top:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Trial division; make_field calls it only on p <= 103, below its cap."""
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 class CycloField:

@@ -24,6 +24,8 @@ makes 6p class products (2 * 3p expansion products).  Every product is
 canonicalized, but the expansion keeps one dict from the primitive part of
 each leading K-block to its inverse for the length of the call, so only
 p - 5 blocks are solved for 13 <= p <= 103 (14 of 114 products at p = 19).
+Elements keep their splitting rows (algebra.py), so the generators, the
+right factor of every product, are conjugated once: 12 sigma calls in all.
 """
 
 from collections import Counter
@@ -135,13 +137,19 @@ def _closures(table) -> list:
     return closures
 
 
+def _orders(table) -> list:
+    return [len(c) if reached else 0 for c, reached in _closures(table)]
+
+
 def table_orders(table) -> list:
     """The order of every element, by walking its powers back to the identity 0.
 
     An element whose powers repeat before they reach 0 (only possible when
-    the table is not a group) gets order 0.
+    the table is not a group) gets order 0, as does all of a table that is
+    not square with entries in range.
     """
-    return [len(c) if reached else 0 for c, reached in _closures(table)]
+    n = len(table)
+    return _orders(table) if _square(table, n) else [0] * n
 
 
 def _histogram(orders) -> dict:
@@ -167,15 +175,16 @@ def is_abelian(table) -> bool:
 def verify_relations(table, xi: int, al: int, p: int, d: int) -> dict:
     """The three defining relations of the target group, read off the table.
 
-    xi and al index the generator classes; the walks follow their columns,
-    which cayley_table copies from the breadth-first edges.
-    The returned booleans let a caller assemble a complete failure
-    certificate.
+    xi and al index the generator classes; the walks follow their columns.
+    The booleans let a caller assemble a complete failure certificate; all
+    three are False off a square table with xi, al and entries in range.
     """
+    n = len(table)
+    ok = _square(table, n) and 0 <= xi < n and 0 <= al < n
     return {
-        "xi_power_p_trivial": _walk(table, 0, xi, p) == 0,
-        "alpha_cubed_trivial": _walk(table, 0, al, 3) == 0,
-        "commutation_twist": table[xi][al] == _walk(table, al, xi, d),
+        "xi_power_p_trivial": ok and _walk(table, 0, xi, p) == 0,
+        "alpha_cubed_trivial": ok and _walk(table, 0, al, 3) == 0,
+        "commutation_twist": ok and table[xi][al] == _walk(table, al, xi, d),
     }
 
 
@@ -196,9 +205,9 @@ def semidirect_table(p: int, d: int) -> list:
 
 
 def _square(table, n: int) -> bool:
-    """Whether table is n >= 1 rows of n entries, each in range(n)."""
+    """Whether table is n >= 1 rows of n entries, each in range(n): the readers' one guard."""
     shaped = len(table) == n > 0 and all(len(row) == n for row in table)
-    return shaped and min(map(min, table)) >= 0 and max(map(max, table)) < n
+    return shaped and set().union(*table) <= set(range(n))
 
 
 def is_group(table, gens) -> bool:
@@ -248,8 +257,9 @@ def check_isomorphism(table, xi: int, al: int, abstract) -> dict:
 
     abstract is semidirect_table(p, d).  phi(u, v) = xi^u * (al^2)^v, the
     image of abstract index 3u + v, is built by walking the generator
-    columns of the concrete table (xi and al are indices into it).  A
-    counterexample is the abstract pair ((u, v), (u', v')) where phi broke.
+    columns of the concrete table (xi and al are indices into it).  Each
+    row is compared whole and scanned only once broken, for the first
+    abstract pair ((u, v), (u', v')) where phi broke, the counterexample.
     The answer is the certificate's isomorphism block, convention included.
     """
     n = len(abstract)
@@ -277,11 +287,11 @@ def jordan_index_check(table) -> int:
     every proper nontrivial subgroup has prime order, hence is cyclic, so
     the cyclic closures of single elements (0's is the trivial group) and
     the whole group exhaust all subgroups.  A table that is not a group
-    (empty, a row without the identity 0, or no normal abelian subgroup
-    found) gets 0, as in table_orders.
+    (not square with entries in range, a row without the identity 0, or no
+    normal abelian subgroup found) gets 0, as in table_orders.
     """
     n = len(table)
-    if not table or any(0 not in row for row in table):
+    if not _square(table, n) or any(0 not in row for row in table):
         return 0
     inv = [row.index(0) for row in table]
 
@@ -330,7 +340,8 @@ def group_report(algebra: CyclicAlgebra) -> GroupReport:
     elements = generate_subgroup([algebra.embed(field.zeta()), algebra.alpha()])
     table = cayley_table(elements)
     xi_i, al_i = elements[0][1]  # identity * generator is the generator
-    orders = table_orders(table)
+    # cayley_table and semidirect_table build tables that pass _square
+    orders = _orders(table)
     hist = _histogram(orders)
     abstract = semidirect_table(p, d)
     return GroupReport(
@@ -341,7 +352,7 @@ def group_report(algebra: CyclicAlgebra) -> GroupReport:
         isomorphism=check_isomorphism(table, xi_i, al_i, abstract),
         # (1, 0) and (0, 1), at indices 3 and 1, generate the reference group
         abstract_axioms_ok=is_group(abstract, (3, 1)),
-        order_histograms_match=hist == order_histogram(abstract),
+        order_histograms_match=hist == _histogram(_orders(abstract)),
         jordan_index=jordan_index_check(table),
         non_abelian=not is_abelian(table),
     )

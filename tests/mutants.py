@@ -291,8 +291,15 @@ MUTANTS = (
     Mutant(
         "the table range check admits the entry n",
         "projective.py",
-        "max(map(max, table)) < n",
-        "max(map(max, table)) <= n",
+        "set().union(*table) <= set(range(n))",
+        "set().union(*table) <= set(range(n + 1))",
+        ("tests/test_projective.py::test_table_checks_return_a_verdict_on_an_entry_out_of_range",),
+    ),
+    Mutant(
+        "jordan_index_check without the range guard",
+        "projective.py",
+        "if not _square(table, n) or any(0 not in row for row in table):",
+        "if any(0 not in row for row in table):",
         ("tests/test_projective.py::test_table_checks_return_a_verdict_on_an_entry_out_of_range",),
     ),
     Mutant(

@@ -128,6 +128,9 @@ def test_param_mismatch(field7, field13):
     a13 = CyclicAlgebra(field13, 2)
     with pytest.raises(ParamMismatch):
         a2.one() * a13.one()
+    # an algebra element multiplies algebra elements only; scale() takes scalars
+    with pytest.raises(TypeError, match="expected AlgebraElem, got int"):
+        a2.one() * 2
 
 
 def test_components_from_another_field_rejected(alg7, field13):

@@ -4,6 +4,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import sbcert.algebra as algebra_module
 import sbcert.cli as cli
 import sbcert.cyclotomic as cyclotomic
+import sbcert.obstruction as obstruction
 import sbcert.pipeline as pipeline
 import sbcert.projective as projective
 from sbcert.algebra import CyclicAlgebra
@@ -33,6 +35,7 @@ from sbcert.pipeline import PipelineOptions, run_pipeline
 from sbcert.rationals import Rat
 
 FAST = PipelineOptions(trials=10, norm_search_bound=0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +273,32 @@ def test_failed_algebra_stage_serializes(monkeypatch):
     payload = json.loads(certificate_to_json(cert))
     assert payload["overall"] == "FAIL"
     assert payload["group"]["order"] == 21  # later stages still serialized
+
+
+def _key_paths(value, path=()):
+    """The path of every key at any depth of a JSON value."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield path + (k,)
+            yield from _key_paths(v, path + (k,))
+
+
+def test_norm_witness_fails_the_obstruction_stage(monkeypatch, capsys):
+    # a witness means a is a norm: the run FAILs at the first stage, and the
+    # certificate still carries every key, later stages included
+    def witness(field, a, bound):
+        return field.one()
+
+    monkeypatch.setattr(obstruction, "brute_force_norm_search", witness)
+    cert = run_pipeline(7, PipelineOptions(trials=2))
+    assert cert.overall == "FAIL" and cert.failed_stage == "obstruction"
+    payload = json.loads(certificate_to_json(cert))
+    assert payload["obstruction"]["witness_found"] == ["1", "0", "0", "0", "0", "0"]
+    golden = json.loads((GOLDEN / "cert_p7.json").read_text(encoding="utf-8"))
+    golden["timings_ms"] = payload["timings_ms"]
+    assert list(_key_paths(payload)) == list(_key_paths(golden))
+    assert cli.main(["--p", "7", "--trials", "2", "--quiet"]) == 1
+    assert json.loads(capsys.readouterr().out)["failed_stage"] == "obstruction"
 
 
 def test_failed_group_substage_named(monkeypatch):

@@ -80,6 +80,15 @@ def test_one_field_per_prime_compared_by_identity(field7, field13, rng):
     assert field7.one() != field13.one()
 
 
+def test_is_prime_matches_a_sieve():
+    n = 2000
+    sieve = [False, False] + [True] * (n - 2)
+    for f in range(2, 45):
+        if sieve[f]:
+            sieve[f * f :: f] = [False] * len(range(f * f, n, f))
+    assert [m for m in range(-5, n) if is_prime(m)] == [m for m in range(n) if sieve[m]]
+
+
 def _refuse_is_prime(n):
     raise AssertionError(f"is_prime({n}) reached: its trial division stalls on a large p")
 
@@ -398,6 +407,8 @@ def test_k_inverse_of_fixed_field_elements(field7, field13, rng):
         for _ in range(25):
             c = random_k_star_elem(field, rng)
             assert k_inverse(c) * c == field.one()
+        with pytest.raises(DivisionByZero):
+            cyclotomic.k_inverse_from_period_coords(field, [0] * field.k, 1)
 
 
 def test_k_inverse_rejects_elements_outside_K(field7):
@@ -418,6 +429,12 @@ def test_floats_rejected_at_the_rational_boundary(field7, alg7):
     ):
         with pytest.raises(TypeError):
             build()
+
+
+@pytest.mark.parametrize("count", [5, 7])
+def test_element_takes_exactly_p_minus_1_coordinates(field7, count):
+    with pytest.raises(ValueError, match=f"expected 6 coordinates, got {count}"):
+        field7.element([1] * count)
 
 
 def test_negative_exponent_rejected(field7, alg7):

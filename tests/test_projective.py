@@ -273,6 +273,8 @@ def test_xi_powers_nontrivial_below_p(alg7):
 def test_generate_subgroup(alg7, field7):
     e = alg7.one()
     assert generate_subgroup([e]) == [(e, (0,))]
+    with pytest.raises(ValueError, match="at least one generator"):
+        generate_subgroup([])
     xi_cyclic = generate_subgroup([_gens(alg7)[0]])
     assert len(xi_cyclic) == 7
     gens = _gens(alg7)
@@ -423,22 +425,33 @@ def test_is_group_rejects_identity_off_index_0():
 def test_table_checks_return_a_verdict_on_an_entry_out_of_range(junk):
     # 21 used to raise IndexError, and -1 wrapped round to the last row
     abstract = semidirect_table(7, 2)
-    broken = [row[:] for row in abstract]
-    broken[4][5] = junk
-    assert not is_group(broken, (3, 1))
-    assert check_isomorphism(broken, 3, 1, abstract) == {
-        "ok": False, "pairs_checked": 0, "convention": ISO_CONVENTION, "counterexample": None,
-    }
+    for i, j in ((4, 5), (1, 1)):
+        broken = [row[:] for row in abstract]
+        broken[i][j] = junk
+        assert not is_group(broken, (3, 1))
+        assert check_isomorphism(broken, 3, 1, abstract) == {
+            "ok": False, "pairs_checked": 0, "convention": ISO_CONVENTION, "counterexample": None,
+        }
+        # unguarded, these readers raise IndexError on 21 at (1, 1), and on -1
+        # the Jordan index wraps round to 3, the passing value
+        assert table_orders(broken) == [0] * 21
+        assert not any(verify_relations(broken, 3, 1, 7, 2).values())
+        assert jordan_index_check(broken) == 0
     # so does a generator index out of range
     assert not is_group(abstract, (3, junk))
     assert not check_isomorphism(abstract, 3, junk, abstract)["ok"]
     assert not check_isomorphism(abstract, junk, 1, abstract)["ok"]
+    assert not any(verify_relations(abstract, 3, junk, 7, 2).values())
+    assert not any(verify_relations(abstract, junk, 1, 7, 2).values())
 
 
 @pytest.mark.parametrize("table", [[], [[]], [[0], []], [[0, 1], [1]]])
 def test_table_checks_return_a_verdict_on_an_empty_or_short_row(table):
     assert not is_group(table, (0,))
     assert not check_isomorphism(table, 0, 0, [[0] * len(table)] * len(table))["ok"]
+    assert table_orders(table) == [0] * len(table)
+    assert not any(verify_relations(table, 0, 0, 7, 2).values())
+    assert jordan_index_check(table) == 0
 
 
 def _moved(draw, table):
