@@ -9,6 +9,7 @@ from .pipeline import PipelineOptions, run_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
+    opts = PipelineOptions()  # the run defaults, kept in one place
     parser = argparse.ArgumentParser(
         prog="sbcert",
         description=(
@@ -21,17 +22,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--a",
         type=int,
-        default=None,
+        default=opts.a,
         help="override the algebra parameter (must be a non-cube unit mod p)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    parser.add_argument("--seed", type=int, default=opts.seed, help="seed for randomized checks")
     parser.add_argument(
-        "--trials", type=int, default=100, help="sample count for randomized checks"
+        "--trials", type=int, default=opts.trials, help="sample count for randomized checks"
     )
     parser.add_argument(
         "--norm-search-bound",
         type=int,
-        default=None,
+        default=opts.norm_search_bound,
         help="height bound for the brute-force norm search; 0 skips it "
         "(default: 1 for p = 7, 0 otherwise)",
     )

@@ -4,7 +4,8 @@ For a prime p = 3k + 1 the field L = Q(zeta_p) is represented in the power
 basis {1, zeta, ..., zeta^(p-2)}.  An element is a length-(p-1) vector of
 integers over one positive denominator, reduced so that the denominator
 shares no factor with all the integers (Cohen, A Course in Computational
-Algebraic Number Theory, 4.2).  Products and automorphisms work on p
+Algebraic Number Theory, 4.2).  Outside values become coordinates only in
+CycloField.element, the one coercion.  Products and automorphisms work on p
 exponent slots, the coefficients of zeta^0 .. zeta^(p-1), and the reduced
 vector subtracts the top slot from the rest (_fold), as zeta^(p-1) =
 -(1 + zeta + ... + zeta^(p-2)).  Multiplication is one product of
@@ -30,7 +31,7 @@ is safe to share between threads.
 """
 
 import functools
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add, itemgetter, sub
 
 from . import linalg
@@ -43,7 +44,7 @@ from .errors import (
     SingularBasis,
     WrongResidue,
 )
-from .rationals import Rat, ints_over_den
+from .rationals import Rat
 
 
 def is_prime(n: int) -> bool:
@@ -76,10 +77,18 @@ class CycloField:
     # -- element constructors -------------------------------------------
 
     def element(self, coords) -> "FieldElem":
-        num, den = ints_over_den(coords)
-        if len(num) != self.degree:
-            raise ValueError(f"expected {self.degree} coordinates, got {len(num)}")
-        return _reduced(self, num, den)
+        """These coordinates as ints over their lcm denominator; a float raises TypeError."""
+        qs = []
+        for v in coords:
+            if isinstance(v, float):
+                raise TypeError(f"{v!r} is a float; give an exact int, string or fraction")
+            qs.append(v if isinstance(v, (int, Rat)) else Rat(v))
+        if len(qs) != self.degree:
+            raise ValueError(f"expected {self.degree} coordinates, got {len(qs)}")
+        # a list, not a generator: a tuple unpacked from a generator is built by
+        # resizing, and CPython's free lists then hoard up to 2000 short tuples
+        den = lcm(*[q.denominator for q in qs])
+        return _reduced(self, [q.numerator * (den // q.denominator) for q in qs], den)
 
     def zero(self) -> "FieldElem":
         return FieldElem(self, (0,) * self.degree)
@@ -359,17 +368,11 @@ def _k_basis_inverse(field: CycloField):
 def k_coordinate_vector(field: CycloField, coords) -> tuple:
     """Integer K-coordinates in the basis {eta_i * zeta^j}, blocks by j.
 
-    coords is an element, and the numerators are over its den, or a tuple
-    of power-basis coordinates, and they are over its common denominator.
+    coords is an element, and the numerators are over its den, or power-basis
+    coordinates, which go through field.element, and they are over its den.
     """
-    num = coords.num if isinstance(coords, FieldElem) else ints_over_den(coords)[0]
+    num = (coords if isinstance(coords, FieldElem) else field.element(coords)).num
     return tuple(_lincomb(num, _k_basis_inverse(field), field.degree))
-
-
-def _from_period_ints(field: CycloField, vec, den: int) -> FieldElem:
-    """The fixed-field element sum(vec[i] * eta_i) / den, for integers vec."""
-    periods = [eta.num for eta in gaussian_periods(field)]
-    return _reduced(field, _lincomb(vec, periods, field.degree), den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -407,8 +410,9 @@ def k_inverse_from_period_coords(field: CycloField, vec, den: int = 1) -> FieldE
         raise DivisionByZero("inverse of zero in the fixed field")
     # the periods sum to zeta + ... + zeta^(p-1) = -1
     sol, sol_den = linalg.solve(_period_mult_rows(field, vec), [-1] * field.k)
-    # c = vec / den, so 1/c = den * (the inverse of vec)
-    return _from_period_ints(field, [den * y for y in sol], sol_den)
+    # c = vec / den, so 1/c = den * (the inverse of vec) = sum(den * y_i * eta_i) / sol_den
+    periods = [eta.num for eta in gaussian_periods(field)]
+    return _reduced(field, _lincomb([den * y for y in sol], periods, field.degree), sol_den)
 
 
 def k_inverse(x: FieldElem) -> FieldElem:
@@ -416,7 +420,7 @@ def k_inverse(x: FieldElem) -> FieldElem:
 
     An element outside K raises NotInvertible: no caller should hold one.
     """
-    if not x.is_in_K():
-        raise NotInvertible("k_inverse needs an element of the fixed field K")
     coords = k_coordinate_vector(x.field, x)
+    if any(coords[x.field.k :]):  # x is in K exactly when its zeta, zeta^2 blocks vanish
+        raise NotInvertible("k_inverse needs an element of the fixed field K")
     return k_inverse_from_period_coords(x.field, coords[: x.field.k], x.den)

@@ -168,8 +168,8 @@ def _walk(table, x: int, g: int, steps: int) -> int:
 
 
 def is_abelian(table) -> bool:
-    n = len(table)
-    return all(table[i][j] == table[j][i] for i in range(n) for j in range(i + 1, n))
+    """Whether the table commutes; True, which fails non_abelian, on a table _square rejects."""
+    return not _square(table, len(table)) or list(zip(*table)) == list(map(tuple, table))
 
 
 def verify_relations(table, xi: int, al: int, p: int, d: int) -> dict:

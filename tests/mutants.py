@@ -141,6 +141,14 @@ MUTANTS = (
         ("tests/test_algebra.py::test_division_property",),
     ),
     Mutant(
+        "k_inverse without its K-membership test",
+        "cyclotomic.py",
+        "    if any(coords[x.field.k :]):  # x is in K exactly when its zeta, zeta^2 blocks vanish\n"
+        "        raise NotInvertible(\"k_inverse needs an element of the fixed field K\")\n",
+        "",
+        ("tests/test_cyclotomic.py::test_k_inverse_rejects_elements_outside_K",),
+    ),
+    Mutant(
         "inverse without its check of det * det_inv",
         "algebra.py",
         "det * det_inv != det.field.one() or ",
@@ -303,10 +311,10 @@ MUTANTS = (
         ("tests/test_projective.py::test_table_checks_return_a_verdict_on_an_entry_out_of_range",),
     ),
     Mutant(
-        "the float guard of ints_over_den removed",
-        "rationals.py",
-        "        if isinstance(v, float):\n"
-        "            raise TypeError(f\"{v!r} is a float; give an exact int, string or fraction\")\n",
+        "the float guard of CycloField.element removed",
+        "cyclotomic.py",
+        "            if isinstance(v, float):\n"
+        "                raise TypeError(f\"{v!r} is a float; give an exact int, string or fraction\")\n",
         "",
         ("tests/test_cyclotomic.py::test_floats_rejected_at_the_rational_boundary",),
     ),
@@ -393,11 +401,21 @@ MUTANTS = (
         ("tests/test_projective.py::test_generation_cap_admits_exactly_10p_classes[70]",),
     ),
     Mutant(
-        "is_abelian compares entries by !=",
+        "is_abelian compares the table and its transpose by !=",
         "projective.py",
-        "table[i][j] == table[j][i]",
-        "table[i][j] != table[j][i]",
+        "list(zip(*table)) == list(map(tuple, table))",
+        "list(zip(*table)) != list(map(tuple, table))",
         ("tests/test_projective.py::test_is_abelian_on_cyclic_and_non_abelian_tables",),
+    ),
+    Mutant(
+        "is_abelian without its guard",
+        "projective.py",
+        "return not _square(table, len(table)) or ",
+        "return ",
+        (
+            "tests/test_projective.py::test_table_checks_return_a_verdict_on_an_entry_out_of_range",
+            "tests/test_projective.py::test_table_checks_return_a_verdict_on_an_empty_or_short_row",
+        ),
     ),
     Mutant(
         "the isomorphism counterexample splits its first index by 4",

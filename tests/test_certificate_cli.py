@@ -389,6 +389,57 @@ def test_reduced_norm_outside_K_fails_algebra_stage(monkeypatch):
     assert cert.failed_stage == "algebra"
 
 
+def test_a_scaled_alpha_fails_only_alpha_cubed_equals_a(monkeypatch):
+    # 2 * alpha still twists by sigma and has the same class, but cubes to 8a:
+    # the flag is the one check that sees it
+    real = CyclicAlgebra.alpha
+    monkeypatch.setattr(CyclicAlgebra, "alpha", lambda self: real(self).scale(2))
+    cert = run_pipeline(7, FAST)
+    checks = cert.algebra_checks
+    failed = [k for k, v in checks.items() if v is False or isinstance(v, dict) and not v["ok"]]
+    assert failed == ["alpha_cubed_equals_a"]
+    assert cert.overall == "FAIL"
+    assert cert.failed_stage == "algebra"
+
+
+def test_a_transposed_splitting_matrix_fails_splitting_multiplicativity(monkeypatch):
+    # M(x)^T keeps Nrd but reverses products: M(xy)^T = M(y)^T M(x)^T
+    real = algebra_module.AlgebraElem.splitting_matrix
+    monkeypatch.setattr(algebra_module.AlgebraElem, "splitting_matrix",
+                        lambda x: tuple(zip(*real(x))))
+    cert = run_pipeline(7, FAST)
+    block = cert.algebra_checks["splitting_multiplicativity"]
+    assert block == {"trials": 10, "failures": 10, "ok": False}
+    assert cert.overall == "FAIL"
+    assert cert.failed_stage == "algebra"
+
+
+def test_a_group_of_the_wrong_order_fails_the_group_stage(monkeypatch):
+    # zeta given for both generators: the cyclic group of order p, and group_report
+    # still reads two generator indices
+    real = projective.generate_subgroup
+    monkeypatch.setattr(projective, "generate_subgroup", lambda gens: real(gens[:1] * 2))
+    cert = run_pipeline(7, FAST)
+    assert cert.group.order == 7
+    assert cert.group.isomorphism["pairs_checked"] == 0 and not cert.group.isomorphism["ok"]
+    assert cert.overall == "FAIL"
+    assert cert.failed_stage == "group:relations"
+
+
+def test_a_direct_product_reference_fails_order_histograms_match(monkeypatch):
+    # Z/7 x Z/3 passes the group axioms, but it has elements of order 21
+    def direct(p, d):
+        pairs = [(u, v) for u in range(p) for v in range(3)]
+        return [[3 * ((u1 + u2) % p) + (v1 + v2) % 3 for u2, v2 in pairs] for u1, v1 in pairs]
+
+    monkeypatch.setattr(projective, "semidirect_table", direct)
+    cert = run_pipeline(7, FAST)
+    assert cert.group.abstract_axioms_ok
+    assert not cert.group.order_histograms_match
+    assert cert.overall == "FAIL"
+    assert cert.failed_stage == "group:isomorphism"
+
+
 def test_cli_pass(tmp_path, capsys):
     out = tmp_path / "cert.json"
     code = cli.main(["--p", "7", "--trials", "5", "--norm-search-bound", "0",
@@ -456,6 +507,18 @@ def test_cli_rejects_negative_search_bound(bound, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("sbcert: error: norm search bound = ")
+
+
+def test_cli_defaults_are_the_pipeline_defaults(monkeypatch):
+    seen = []
+
+    def record(p, options):
+        seen.append(options)
+        raise BadInput("recorded")
+
+    monkeypatch.setattr(cli, "run_pipeline", record)
+    assert cli.main(["--p", "7"]) == 2
+    assert seen == [PipelineOptions()]
 
 
 def test_cli_usage_error():

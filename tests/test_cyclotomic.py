@@ -423,6 +423,7 @@ def test_floats_rejected_at_the_rational_boundary(field7, alg7):
     for build in (
         lambda: field7.from_rational(0.1),
         lambda: field7.element([0.5, 0, 0, 0, 0, 0]),
+        lambda: k_coordinate_vector(field7, (0.5, 0, 0, 0, 0, 0)),
         lambda: CyclicAlgebra(field7, 0.5),
         lambda: field7.one() * 0.5,
         lambda: alg7.one().scale(0.5),
@@ -431,10 +432,14 @@ def test_floats_rejected_at_the_rational_boundary(field7, alg7):
             build()
 
 
-@pytest.mark.parametrize("count", [5, 7])
+@pytest.mark.parametrize("count", [3, 5, 7, 8])
 def test_element_takes_exactly_p_minus_1_coordinates(field7, count):
     with pytest.raises(ValueError, match=f"expected 6 coordinates, got {count}"):
         field7.element([1] * count)
+    # the tuple form of k_coordinate_vector goes through element: no short
+    # tuple read as the low coordinates, no long one cut short
+    with pytest.raises(ValueError, match=f"expected 6 coordinates, got {count}"):
+        k_coordinate_vector(field7, (1,) * count)
 
 
 def test_negative_exponent_rejected(field7, alg7):

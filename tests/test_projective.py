@@ -174,22 +174,22 @@ def test_canonicalize_builds_no_fraction(monkeypatch, rng):
     algebra = _algebra(13)
     xs = [random_nonzero_algebra_elem(algebra, rng) for _ in range(20)]
     canonicalize(xs[0])  # warm the field's caches outside the count
-    counts = {"Fraction": 0, "ints_over_den": 0}
-    real_new, real_ints = Fraction.__new__, cyclotomic.ints_over_den
+    counts = {"Fraction": 0, "element": 0}
+    real_new, real_element = Fraction.__new__, cyclotomic.CycloField.element
 
     def counting_new(cls, *args, **kwargs):
         counts["Fraction"] += 1
         return real_new(cls, *args, **kwargs)
 
-    def counting_ints(values):
-        counts["ints_over_den"] += 1
-        return real_ints(values)
+    def counting_element(field, coords):
+        counts["element"] += 1
+        return real_element(field, coords)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    monkeypatch.setattr(cyclotomic, "ints_over_den", counting_ints)
+    monkeypatch.setattr(cyclotomic.CycloField, "element", counting_element)
     reps = [canonicalize(x) for x in xs]
     monkeypatch.undo()
-    assert counts == {"Fraction": 0, "ints_over_den": 0}
+    assert counts == {"Fraction": 0, "element": 0}
     assert all(_first_k_coordinate_is_one(c) for c in reps)
 
 
@@ -437,6 +437,7 @@ def test_table_checks_return_a_verdict_on_an_entry_out_of_range(junk):
         assert table_orders(broken) == [0] * 21
         assert not any(verify_relations(broken, 3, 1, 7, 2).values())
         assert jordan_index_check(broken) == 0
+        assert is_abelian(broken)  # the failing verdict for non_abelian
     # so does a generator index out of range
     assert not is_group(abstract, (3, junk))
     assert not check_isomorphism(abstract, 3, junk, abstract)["ok"]
@@ -452,6 +453,7 @@ def test_table_checks_return_a_verdict_on_an_empty_or_short_row(table):
     assert table_orders(table) == [0] * len(table)
     assert not any(verify_relations(table, 0, 0, 7, 2).values())
     assert jordan_index_check(table) == 0
+    assert is_abelian(table)  # unguarded, [[0], []] raises IndexError
 
 
 def _moved(draw, table):
