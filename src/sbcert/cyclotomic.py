@@ -406,6 +406,8 @@ def k_inverse_from_period_coords(field: CycloField, vec, den: int = 1) -> FieldE
     canonicalization, so the subgroup expansion solves each distinct
     leading block once.
     """
+    if len(vec) != field.k:
+        raise ValueError(f"expected {field.k} period coordinates, got {len(vec)}")
     if not any(vec):
         raise DivisionByZero("inverse of zero in the fixed field")
     # the periods sum to zeta + ... + zeta^(p-1) = -1

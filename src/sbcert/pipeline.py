@@ -8,6 +8,7 @@ on two cores when the process has one thread and two CPUs (the bytes do
 not change); generate the projective group and verify order, relations,
 isomorphism and the Jordan index.  Any failed check yields a complete FAIL
 certificate naming the stage; invalid inputs raise a BadInput error instead.
+The module also holds the sample distribution, which the tests draw from too.
 """
 
 import functools
@@ -17,16 +18,51 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
+from math import lcm
 from operator import methodcaller
 from typing import Optional
 
-from .algebra import CyclicAlgebra
+from .algebra import AlgebraElem, CyclicAlgebra
 from .certificate import Certificate
-from .cyclotomic import make_field
+from .cyclotomic import CycloField, FieldElem, _reduced, make_field
 from .errors import BadSearchBound, BadSeed, BadTrialCount, NotInvertible, RejectedOverride
 from .obstruction import certifies_division, choose_a, obstruction_report
 from .projective import group_report
-from .sampling import random_algebra_elem, random_field_elem, random_nonzero_algebra_elem
+
+# Coordinates are n / q, n in [-9, 9] and q in {1, 2, 3}: small enough to keep
+# exact arithmetic fast, varied enough to exercise every reduction path.  Each
+# is drawn as an integer numerator over COMMON_DEN = lcm(1, 2, 3) and the element
+# is reduced once, so no Fraction is built.  All draws come from a caller-supplied
+# random.Random, so runs are reproducible from a seed.
+NUMERATOR_RANGE = (-9, 9)
+DENOMINATORS = (1, 2, 3)
+COMMON_DEN = lcm(*DENOMINATORS)
+
+
+def random_field_elem(field: CycloField, rng) -> FieldElem:
+    # randint before choice, the order the seeded sample streams were pinned in;
+    # n / q is n * (COMMON_DEN // q) over COMMON_DEN
+    num = [
+        rng.randint(*NUMERATOR_RANGE) * (COMMON_DEN // rng.choice(DENOMINATORS))
+        for _ in range(field.degree)
+    ]
+    return _reduced(field, num, COMMON_DEN)
+
+
+def random_algebra_elem(algebra: CyclicAlgebra, rng) -> AlgebraElem:
+    f = algebra.field
+    return algebra.element(
+        random_field_elem(f, rng),
+        random_field_elem(f, rng),
+        random_field_elem(f, rng),
+    )
+
+
+def random_nonzero_algebra_elem(algebra: CyclicAlgebra, rng) -> AlgebraElem:
+    while True:
+        x = random_algebra_elem(algebra, rng)
+        if x:
+            return x
 
 
 @dataclass

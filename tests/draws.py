@@ -1,8 +1,8 @@
 """Test-only random draws that the package itself does not need."""
 
 from sbcert.cyclotomic import CycloField, FieldElem, gaussian_periods
+from sbcert.pipeline import DENOMINATORS, NUMERATOR_RANGE, random_field_elem
 from sbcert.rationals import Rat
-from sbcert.sampling import DENOMINATORS, NUMERATOR_RANGE, random_field_elem
 
 
 def random_rational(rng) -> Rat:

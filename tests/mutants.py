@@ -141,6 +141,14 @@ MUTANTS = (
         ("tests/test_algebra.py::test_division_property",),
     ),
     Mutant(
+        "k_inverse_from_period_coords without its length check",
+        "cyclotomic.py",
+        "    if len(vec) != field.k:\n"
+        "        raise ValueError(f\"expected {field.k} period coordinates, got {len(vec)}\")\n",
+        "",
+        ("tests/test_cyclotomic.py::test_k_inverse_of_fixed_field_elements",),
+    ),
+    Mutant(
         "k_inverse without its K-membership test",
         "cyclotomic.py",
         "    if any(coords[x.field.k :]):  # x is in K exactly when its zeta, zeta^2 blocks vanish\n"

@@ -16,13 +16,14 @@ from sbcert.algebra import CyclicAlgebra
 from sbcert.cyclotomic import gaussian_periods, make_field
 from sbcert.errors import RejectedOverride, WrongResidue
 from sbcert.obstruction import brute_force_norm_search, cubes_mod_p, is_cube_mod_p
-from sbcert.pipeline import PipelineOptions, run_pipeline
-from sbcert.projective import canonicalize
-from sbcert.sampling import (
+from sbcert.pipeline import (
+    PipelineOptions,
     random_algebra_elem,
     random_field_elem,
     random_nonzero_algebra_elem,
+    run_pipeline,
 )
+from sbcert.projective import canonicalize
 
 
 def _emit(number, label, failures):

@@ -9,13 +9,13 @@ from sbcert.algebra import AlgebraElem, CyclicAlgebra
 from sbcert.cyclotomic import FieldElem, gaussian_periods, make_field
 from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch
 from sbcert.obstruction import certifies_division
-from sbcert.pipeline import run_algebra_checks
-from sbcert.rationals import Rat
-from sbcert.sampling import (
+from sbcert.pipeline import (
     random_algebra_elem,
     random_field_elem,
     random_nonzero_algebra_elem,
+    run_algebra_checks,
 )
+from sbcert.rationals import Rat
 
 
 def _identity_matrix(field):

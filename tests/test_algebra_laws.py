@@ -3,8 +3,10 @@
 The product, sigma, the splitting matrix M and the shift-built rows of left
 multiplication are Q-linear in each argument, so a law that holds on every
 tuple of basis elements holds on all of A.  At p = 7 the basis has
-3(p - 1) = 18 elements; the randomized suite and the certificate's trial
-blocks sample the same laws.
+3(p - 1) = 18 elements; Light's test of associativity also runs at p = 13
+and 31.  The randomized suite and the certificate's trial blocks sample the
+same laws, and they also reach dense operands, where a product that is not
+bilinear would show.
 """
 
 from itertools import product
@@ -14,6 +16,7 @@ from oracles import mat_mul
 
 from sbcert.algebra import CyclicAlgebra
 from sbcert.cyclotomic import make_field
+from sbcert.obstruction import choose_a
 from sbcert.rationals import Rat
 
 
@@ -49,6 +52,20 @@ def test_associativity_on_basis(basis7):
     powers = [algebra.one(), algebra.alpha(), algebra.alpha() * algebra.alpha()]
     for x, y, z in product(powers, basis, basis):
         assert (x * y) * z == x * (y * z)
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_associativity_by_lights_test(p):
+    # the s with (x s) y = x (s y) for all x, y form a subspace closed under
+    # products: (x (s t)) y = ((x s) t) y = (x s) (t y) = x (s (t y)) = x ((s t) y).
+    # So zeta and alpha passing against every pair of basis monomials, which
+    # their products reach, proves the product associative (Light's test)
+    algebra = CyclicAlgebra(make_field(p), choose_a(p))
+    zeta, al = algebra.embed(algebra.field.zeta()), algebra.alpha()
+    basis = [_monomial(algebra, e, c) for c in range(3) for e in range(p - 1)]
+    assert basis == [zeta**e * al**c for c in range(3) for e in range(p - 1)]
+    for s, x, y in product((zeta, al), basis, basis):
+        assert (x * s) * y == x * (s * y)
 
 
 def test_lambda_alpha_on_basis(basis7):

@@ -35,9 +35,9 @@ from sbcert.errors import (
     WrongResidue,
 )
 from sbcert.obstruction import choose_a
+from sbcert.pipeline import random_algebra_elem, random_field_elem, random_nonzero_algebra_elem
 from sbcert.projective import canonicalize
 from sbcert.rationals import Rat
-from sbcert.sampling import random_algebra_elem, random_field_elem, random_nonzero_algebra_elem
 
 
 def test_make_field_examples():
@@ -409,6 +409,11 @@ def test_k_inverse_of_fixed_field_elements(field7, field13, rng):
             assert k_inverse(c) * c == field.one()
         with pytest.raises(DivisionByZero):
             cyclotomic.k_inverse_from_period_coords(field, [0] * field.k, 1)
+    # k = 2 at p = 7: a short or long period vector is refused, not padded or
+    # cut by zip, and the length is checked before the zero test
+    for vec in ([1], [1, 0, 5], [0, 0, 0]):
+        with pytest.raises(ValueError):
+            cyclotomic.k_inverse_from_period_coords(field7, vec, 1)
 
 
 def test_k_inverse_rejects_elements_outside_K(field7):

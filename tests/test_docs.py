@@ -212,6 +212,73 @@ def test_every_top_level_key_of_the_schema_doc_is_in_the_golden_certificate():
     assert keys == list(golden) + ["timings_ms"]
 
 
+# "computed by `f`", "computed by `f` and `g`", "computed by `f`, `g` and `h`"
+COMPUTED = re.compile(r"computed\s+by\s+(`[\w.]+`(?:(?:,|\s+and)\s+`[\w.]+`)*)")
+ENTRY = re.compile(r"\s*- ((?:`\w+`(?:, )?)+) - ")
+
+
+def _computed_by(text: str) -> dict:
+    """Key -> the package names its entry in the schema doc says compute it.
+
+    A top-level key's names are in the last cell of its table row.  A key of
+    a block, found as "block.key", heads a list item in that block's
+    section, and its names follow "computed by".
+    """
+    sections = {}
+    for part in text.split("\n## ")[1:]:
+        title, _, body = part.partition("\n")
+        sections[title.strip()] = body.split("\n### ")[0]
+    table = sections["Top-level keys (in order)"]
+    found = {key: re.findall(r"`([\w.]+)`", cell) for key, cell in
+             re.findall(r"^\| `(\w+)`.*\|([^|]*)\|$", table, flags=re.MULTILINE)}
+    for block in ("obstruction", "algebra_checks", "group"):
+        for item in _items(sections[f"`{block}`"]):
+            head = ENTRY.match(item)
+            if head:
+                names = [n for m in COMPUTED.findall(item) for n in re.findall(r"`([\w.]+)`", m)]
+                found.update((f"{block}.{key}", names) for key in re.findall(r"`(\w+)`", head[1]))
+    return found
+
+
+def _function_errors(found: dict) -> list:
+    """Every named function that is not a function or property of the package."""
+    errors = []
+    for key, names in found.items():
+        for name in names:
+            try:
+                obj = _resolve(name)
+            except LookupError as exc:
+                errors.append(f"{key}: {exc}")
+                continue
+            fn = inspect.unwrap(obj.fget if isinstance(obj, property) else obj)
+            if not (inspect.isfunction(fn) and fn.__module__.startswith("sbcert.")):
+                errors.append(f"{key}: {name} is not a function of the package")
+    return errors
+
+
+def test_schema_doc_names_the_function_that_computes_every_key():
+    golden = json.loads((GOLDEN / "cert_p7.json").read_text(encoding="utf-8"))
+    keys = [*golden, "timings_ms"]
+    keys += [f"{b}.{k}" for b in ("obstruction", "algebra_checks", "group") for k in golden[b]]
+    found = _computed_by(SCHEMA.read_text(encoding="utf-8"))
+    assert sorted(k for k in keys if not found.get(k)) == []
+    assert _function_errors(found) == []
+
+
+@pytest.mark.parametrize(
+    "found",
+    [
+        {"order": ["generate_subgroups"]},
+        {"order": ["projective.generate"]},
+        {"p": ["CycloField.order"]},
+        {"a": ["DEFAULT_ENUMERATION_CAP"]},
+        {"group": ["GroupReport"]},
+    ],
+)
+def test_the_function_check_refuses_a_wrong_name(found):
+    assert _function_errors(found) != []
+
+
 def test_every_test_and_mutant_the_docs_cite_exists():
     mutants = (ROOT / "tests" / "mutants.py").read_text(encoding="utf-8")
     for doc in (README, SCHEMA):

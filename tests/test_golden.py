@@ -44,16 +44,25 @@ SAMPLERS = ("random_field_elem", "random_algebra_elem", "random_nonzero_algebra_
 
 
 def record_algebra_draws(monkeypatch, p, a, seed, trials):
-    """Every draw run_algebra_checks makes: its sampler and each component's num and den."""
-    draws = []
+    """Every draw run_algebra_checks makes: its sampler and each component's num and den.
+
+    Only outermost sampler calls are recorded: the field draws inside an
+    algebra draw, and the algebra draws inside a nonzero one, are its parts.
+    """
+    draws, depth = [], 0
 
     def recording(name, real):
         def draw(*args):
+            nonlocal depth
+            depth += 1
             x = real(*args)
-            parts = (x,) if name == "random_field_elem" else x.components
-            draws.append(
-                {"sampler": name, "components": [{"num": list(c.num), "den": c.den} for c in parts]}
-            )
+            depth -= 1
+            if not depth:
+                parts = (x,) if name == "random_field_elem" else x.components
+                draws.append(
+                    {"sampler": name,
+                     "components": [{"num": list(c.num), "den": c.den} for c in parts]}
+                )
             return x
 
         return draw

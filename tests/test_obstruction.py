@@ -15,7 +15,7 @@ from sbcert.obstruction import (
     obstruction_report,
     search_candidate_count,
 )
-from sbcert.sampling import random_field_elem
+from sbcert.pipeline import random_field_elem
 
 # every prime p = 1 (mod 3) that make_field accepts
 PRIMES_TO_THE_CAP = [p for p in range(7, 104) if p % 3 == 1 and is_prime(p)]
@@ -146,9 +146,16 @@ def test_local_step_of_the_imported_lemma(p):
     # the package's own arithmetic: 1 - zeta has norm p, so it generates the
     # prime above p, with residue field F_p; and reduction mod (1 - zeta), which
     # sends zeta to 1 and so reads the coordinate sum mod p, sends N_{L/K}(y)
-    # to y(1)^3
+    # to y(1)^3.  sigma fixes that prime: sigma(1 - zeta) / (1 - zeta) is a unit
+    # of Z[zeta], integral with norm 1, and sigma(zeta) - zeta lies in it; den 1
+    # is a real test, since 1 / (1 - zeta) itself has den p
     field = make_field(p)
-    assert (field.one() - field.zeta()).norm() == p
+    zeta = field.zeta()
+    pi = field.one() - zeta
+    assert pi.norm() == p and pi.inv().den == p
+    unit = pi.sigma(1) * pi.inv()
+    assert unit.den == 1 and unit.norm() == 1
+    assert ((zeta.sigma(1) - zeta) * pi.inv()).den == 1
     rng = random.Random(p)
     for _ in range(20):
         y = random_field_elem(field, rng)

@@ -26,6 +26,7 @@ from sbcert.certificate import _encode
 from sbcert.cyclotomic import FieldElem, k_coordinate_vector, make_field
 from sbcert.errors import CapExceeded, ZeroElement
 from sbcert.obstruction import choose_a
+from sbcert.pipeline import random_nonzero_algebra_elem
 from sbcert.projective import (
     ISO_CONVENTION,
     canonicalize,
@@ -42,7 +43,6 @@ from sbcert.projective import (
     verify_relations,
 )
 from sbcert.rationals import Rat
-from sbcert.sampling import random_nonzero_algebra_elem
 
 GOLDEN = Path(__file__).parent / "golden"
 
