@@ -32,7 +32,7 @@ is safe to share between threads.
 
 import functools
 from math import gcd, isqrt, lcm
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 
 from . import linalg
 from .errors import (
@@ -147,9 +147,9 @@ def _power(base, e: int, one):
 
 
 def _reduced(field: CycloField, num, den: int) -> "FieldElem":
-    """The element num / den in lowest terms; den must be positive."""
+    """The element num / den in lowest terms over a positive denominator, for any den != 0."""
     if den != 1:
-        g = gcd(den, *num)
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
         if g != 1:
             return FieldElem(field, tuple(c // g for c in num), den // g)
     return FieldElem(field, tuple(num), den)
@@ -192,14 +192,10 @@ class FieldElem:
         if not any(self.num):
             return other if sign > 0 else -other
         dx, dy = self.den, other.den
-        if dx == dy:
-            num = list(map(add if sign > 0 else sub, self.num, other.num))
-        else:
-            g = gcd(dx, dy)
-            fx, fy = dy // g, sign * (dx // g)
-            num = [a * fx + b * fy for a, b in zip(self.num, other.num)]
-            dx *= fx
-        return _reduced(self.field, num, dx)
+        g = gcd(dx, dy)
+        fx, fy = dy // g, sign * (dx // g)
+        num = [a * fx + b * fy for a, b in zip(self.num, other.num)]
+        return _reduced(self.field, num, dx * fx)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -295,8 +291,6 @@ class FieldElem:
         t %= p
         if gcd(t, p) != 1:
             raise BadResidue(f"t = {t} is not a unit modulo {p}")
-        if t == 1:
-            return self
         return self._permuted(_aut_gather(p, t))
 
     def sigma(self, power: int = 1) -> "FieldElem":
@@ -398,8 +392,8 @@ def _period_mult_rows(field: CycloField, vec) -> list:
     return [flat[l * k : (l + 1) * k] for l in range(k)]
 
 
-def k_inverse_from_period_coords(field: CycloField, vec, den: int = 1) -> FieldElem:
-    """Inverse of the fixed-field element sum(vec[i] * eta_i) / den, for integers vec.
+def k_inverse_from_period_coords(field: CycloField, vec) -> FieldElem:
+    """Inverse of the fixed-field element sum(vec[i] * eta_i), for an integral vector vec.
 
     Solves the k x k integer system (mult-by-vec) y = 1 by fraction-free
     elimination instead of inverting in L.  The solve is most of a
@@ -412,9 +406,8 @@ def k_inverse_from_period_coords(field: CycloField, vec, den: int = 1) -> FieldE
         raise DivisionByZero("inverse of zero in the fixed field")
     # the periods sum to zeta + ... + zeta^(p-1) = -1
     sol, sol_den = linalg.solve(_period_mult_rows(field, vec), [-1] * field.k)
-    # c = vec / den, so 1/c = den * (the inverse of vec) = sum(den * y_i * eta_i) / sol_den
     periods = [eta.num for eta in gaussian_periods(field)]
-    return _reduced(field, _lincomb([den * y for y in sol], periods, field.degree), sol_den)
+    return _reduced(field, _lincomb(sol, periods, field.degree), sol_den)
 
 
 def k_inverse(x: FieldElem) -> FieldElem:
@@ -425,4 +418,5 @@ def k_inverse(x: FieldElem) -> FieldElem:
     coords = k_coordinate_vector(x.field, x)
     if any(coords[x.field.k :]):  # x is in K exactly when its zeta, zeta^2 blocks vanish
         raise NotInvertible("k_inverse needs an element of the fixed field K")
-    return k_inverse_from_period_coords(x.field, coords[: x.field.k], x.den)
+    # x = coords / den, so its inverse is den times the inverse of the integral coords
+    return k_inverse_from_period_coords(x.field, coords[: x.field.k]) * x.den

@@ -60,10 +60,9 @@ def canonicalize(x: AlgebraElem, inverses: Optional[dict] = None) -> AlgebraElem
     prim = tuple(c // g for c in block)
     inv = inverses.get(prim)
     if inv is None:
-        inv = inverses[prim] = k_inverse_from_period_coords(field, prim, 1)
+        inv = inverses[prim] = k_inverse_from_period_coords(field, prim)
     # block / den = g * prim / den, so its inverse is inv * den / g
-    f = comp.den if g > 0 else -comp.den
-    return x.scale(_reduced(field, [c * f for c in inv.num], inv.den * abs(g)))
+    return x.scale(_reduced(field, [c * comp.den for c in inv.num], inv.den * g))
 
 
 def generate_subgroup(gens) -> list:

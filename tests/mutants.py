@@ -38,10 +38,12 @@ class Mutant(NamedTuple):
     node_ids: tuple
 
 
-# a wrong entry in a row of the splitting matrix breaks associativity
+# a wrong entry in a row of the splitting matrix breaks associativity and
+# the multiplicativity of M
 _ASSOCIATIVITY = (
     "tests/test_algebra.py::test_mul_identity_and_associativity",
     "tests/test_algebra_laws.py::test_associativity_on_basis[a=2]",
+    "tests/test_algebra_laws.py::test_splitting_matrix_multiplicative_by_closure[13]",
 )
 
 MUTANTS = (
@@ -136,9 +138,30 @@ MUTANTS = (
         # the cofactor identities still hold: only det * det_inv == 1 sees it
         "k_inverse returns twice the inverse",
         "cyclotomic.py",
-        "    return k_inverse_from_period_coords(x.field, coords[: x.field.k], x.den)",
-        "    return 2 * k_inverse_from_period_coords(x.field, coords[: x.field.k], x.den)",
+        "    return k_inverse_from_period_coords(x.field, coords[: x.field.k]) * x.den",
+        "    return 2 * k_inverse_from_period_coords(x.field, coords[: x.field.k]) * x.den",
         ("tests/test_algebra.py::test_division_property",),
+    ),
+    Mutant(
+        "k_inverse inverts the integral coordinates without scaling by den",
+        "cyclotomic.py",
+        "coords[: x.field.k]) * x.den",
+        "coords[: x.field.k])",
+        (
+            "tests/test_cyclotomic.py::test_k_inverse_of_fixed_field_elements",
+            "tests/test_algebra.py::test_division_property",
+        ),
+    ),
+    Mutant(
+        "_reduced keeps a negative denominator",
+        "cyclotomic.py",
+        "g = gcd(den, *num) if den > 0 else -gcd(den, *num)",
+        "g = gcd(den, *num)",
+        (
+            "tests/test_cyclotomic.py::test_element_equality_and_hash",
+            "tests/test_projective.py::test_canonical_rep_normalization",
+            "tests/test_golden.py::test_certificate_matches_golden[7]",
+        ),
     ),
     Mutant(
         "k_inverse_from_period_coords without its length check",
@@ -204,7 +227,10 @@ MUTANTS = (
         "algebra.py",
         "for k in (2, 1))",
         "for k in (1, 2))",
-        ("tests/test_algebra.py::test_lambda_alpha_relation",),
+        (
+            "tests/test_algebra.py::test_lambda_alpha_relation",
+            "tests/test_algebra_laws.py::test_lambda_alpha_on_basis[p=13]",
+        ),
     ),
     Mutant(
         "AlgebraElem.__sub__ adds",
@@ -279,7 +305,7 @@ MUTANTS = (
     Mutant(
         "the cached inverse applied without den / g",
         "projective.py",
-        "[c * f for c in inv.num], inv.den * abs(g)",
+        "[c * comp.den for c in inv.num], inv.den * g",
         "inv.num, inv.den",
         (
             "tests/test_projective.py::test_canonical_rep_normalization",

@@ -1,6 +1,8 @@
 """Test-only oracles: slow, direct routes that the package's fast ones must agree with."""
 
-from math import lcm
+from collections import Counter
+from itertools import count
+from math import isqrt, lcm
 
 from sbcert import linalg
 from sbcert.algebra import AlgebraElem
@@ -286,3 +288,46 @@ def check_isomorphism_by_entries(table, xi: int, al: int, abstract) -> dict:
                 return result
     result["ok"] = True
     return result
+
+
+def split_model_group(p: int, a: int, d=None) -> tuple:
+    """Order and order histogram of <zeta, alpha> in PGL_3(F_q), from p and a alone.
+
+    A split model that shares no code with sbcert: over the least prime
+    q = 1 (mod p) that does not divide a, L splits, zeta maps to
+    diag(w, w^d, w^(d^2)) for a primitive p-th root w in F_q, and alpha to
+    the matrix with ones below the diagonal and a in the corner, so
+    alpha^3 = a.  d defaults to the least residue of order 3 mod p; d = 1
+    maps zeta to a scalar.  A class is its matrix scaled so that its first
+    nonzero entry is 1.
+    """
+    if d is None:
+        d = next(t for t in range(2, p) if pow(t, 3, p) == 1)
+    q = next(q for q in count(p + 1, p) if all(q % f for f in range(2, isqrt(q) + 1)) and a % q)
+    w = next(x for x in (pow(g, (q - 1) // p, q) for g in range(2, q)) if x != 1)
+
+    def cls(m):  # m is a 3 x 3 matrix over F_q, flattened by rows
+        c = pow(next(filter(None, m)), -1, q)
+        return tuple(e * c % q for e in m)
+
+    def mul(x, y):
+        return cls([sum(x[3 * i + l] * y[3 * l + j] for l in range(3)) % q
+                    for i in range(3) for j in range(3)])
+
+    one = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    zeta = cls((w, 0, 0, 0, pow(w, d, q), 0, 0, 0, pow(w, d * d, q)))
+    alpha = cls((0, 0, a % q, 1, 0, 0, 0, 1, 0))
+    elements, seen = [one], {one}
+    for x in elements:
+        for s in (zeta, alpha):
+            y = mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+    histogram = Counter()
+    for x in elements:
+        y, m = x, 1
+        while y != one:
+            y, m = mul(y, x), m + 1
+        histogram[m] += 1
+    return len(elements), dict(histogram)

@@ -3,10 +3,11 @@
 The product, sigma, the splitting matrix M and the shift-built rows of left
 multiplication are Q-linear in each argument, so a law that holds on every
 tuple of basis elements holds on all of A.  At p = 7 the basis has
-3(p - 1) = 18 elements; Light's test of associativity also runs at p = 13
-and 31.  The randomized suite and the certificate's trial blocks sample the
-same laws, and they also reach dense operands, where a product that is not
-bilinear would show.
+3(p - 1) = 18 elements.  Light's test of associativity, the defining
+relation on the powers of zeta and the closure proof that the splitting
+matrix is multiplicative also run at p = 13 and 31.  The randomized suite
+and the certificate's trial blocks sample the same laws, and they also
+reach dense operands, where a product that is not bilinear would show.
 """
 
 from itertools import product
@@ -68,10 +69,16 @@ def test_associativity_by_lights_test(p):
         assert (x * s) * y == x * (s * y)
 
 
-def test_lambda_alpha_on_basis(basis7):
-    algebra, _ = basis7
+@pytest.mark.parametrize(
+    "p, a", [(7, 2), (7, -5), (13, choose_a(13)), (31, choose_a(31))],
+    ids=["a=2", "a=-5", "p=13", "p=31"],
+)
+def test_lambda_alpha_on_basis(p, a):
+    # lambda alpha = alpha s(lambda) is Q-linear in lambda, so the p - 1 powers
+    # of zeta, a Q-basis of L, prove it on all of L
+    algebra = CyclicAlgebra(make_field(p), a)
     field, al = algebra.field, algebra.alpha()
-    for e in range(6):
+    for e in range(p - 1):
         lam = field.zeta(e)
         assert algebra.embed(lam) * al == al * algebra.embed(lam.sigma(1))
 
@@ -82,6 +89,22 @@ def test_splitting_matrix_multiplicative_on_basis(basis7):
     split = {x: x.splitting_matrix() for x in basis}
     for x, y in product(basis, basis):
         assert (x * y).splitting_matrix() == mat_mul(field, split[x], split[y])
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_splitting_matrix_multiplicative_by_closure(p):
+    # the y with M(x y) = M(x) M(y) for all x form a subspace, and, as the
+    # product is associative (Light's test above), one closed under products:
+    # M(x (y z)) = M((x y) z) = M(x y) M(z) = M(x) M(y) M(z) = M(x) M(y z).
+    # So zeta and alpha passing against every basis monomial x, with zeta and
+    # alpha generating A, proves M multiplicative on all of A
+    algebra = CyclicAlgebra(make_field(p), choose_a(p))
+    field = algebra.field
+    basis = [_monomial(algebra, e, c) for c in range(3) for e in range(p - 1)]
+    for s in (algebra.embed(field.zeta()), algebra.alpha()):
+        split_s = s.splitting_matrix()
+        for x in basis:
+            assert (x * s).splitting_matrix() == mat_mul(field, x.splitting_matrix(), split_s)
 
 
 def test_regular_rep_rows_on_basis(basis7):

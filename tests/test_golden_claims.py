@@ -6,13 +6,15 @@ regenerated from a wrong program does not pass here.  For Z/p x| Z/3 the
 elements of order p are the p - 1 non-trivial elements of Z/p, and every
 element outside Z/p has order 3: 2p of them.  At the primes up to the cap
 that have no golden, the program's encoded group report is held to the
-same claims.
+same claims, and an independent split model over a finite field reads the
+same order and histogram at every p = 1 (mod 3) up to the cap.
 """
 
 import json
 from pathlib import Path
 
 import pytest
+from oracles import split_model_group
 
 from sbcert.algebra import CyclicAlgebra
 from sbcert.certificate import _encode
@@ -21,6 +23,7 @@ from sbcert.obstruction import choose_a
 from sbcert.projective import group_report
 
 GOLDEN = Path(__file__).parent / "golden"
+PRIMES = [7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97, 103]  # every p = 1 (mod 3) up to the cap
 
 
 def _load(name):
@@ -68,3 +71,27 @@ def test_certificate_golden_parameters(p):
     assert cert["obstruction"]["cubes_mod_p"] == cubes
     assert cert["obstruction"]["is_cube"] is False
     _assert_group_claims(p, cert["group"])
+
+
+def _non_cube(p):
+    return next(a for a in range(2, p) if pow(a, (p - 1) // 3, p) != 1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_split_model_reads_the_claimed_group(p):
+    order, histogram = split_model_group(p, _non_cube(p))
+    assert order == 3 * p
+    assert histogram == {1: 1, 3: 2 * p, p: p - 1}
+    for name in (f"group_p{p}.json", f"cert_p{p}.json"):
+        if (GOLDEN / name).exists():
+            block = _load(name)
+            block = block.get("group", block)
+            assert block["order"] == order
+            assert block["order_histogram"] == {str(m): c for m, c in histogram.items()}
+
+
+def test_split_model_with_a_scalar_zeta_reads_only_alpha():
+    # the negative control: zeta -> diag(w, w, w) is trivial in PGL_3, so the
+    # model must not read 3p, and reads <alpha> of order 3
+    for p in PRIMES:
+        assert split_model_group(p, _non_cube(p), d=1) == (3, {1: 1, 3: 2})

@@ -122,19 +122,20 @@ def test_a_check_refusing_one_sample_in_either_half_counts_as_the_serial_run(
     assert forked["norm_oracle_agreement"] == {"trials": 4, "failures": 1, "ok": False}
 
 
-@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN)], ids=["fork"])
-def test_no_pipe_or_child_to_spare_runs_in_process(call, code, alg7, two_cpus, monkeypatch):
+def test_no_child_to_spare_runs_in_process(alg7, two_cpus, monkeypatch):
     serial = _serial(monkeypatch, alg7, 0, 4)
     fds = _open_fds()
-    monkeypatch.setattr(os, call, _refuse(code))
+    monkeypatch.setattr(os, "fork", _refuse(errno.EAGAIN))
     assert run_algebra_checks(alg7, 0, 4) == serial
     assert _open_fds() == fds  # no descriptor left open
     _no_child_left()
     assert two_cpus == []
 
 
-def test_cli_without_a_pipe_writes_the_golden_certificate(tmp_path, two_cpus, monkeypatch, capsys):
-    # the trial blocks have no pipe; with no child to spare they run in-process
+def test_cli_without_a_child_to_spare_writes_the_golden_certificate(
+    tmp_path, two_cpus, monkeypatch, capsys
+):
+    # with no child to spare, the trial blocks run in-process
     monkeypatch.setattr(os, "fork", _refuse(errno.EAGAIN))
     out = tmp_path / "cert_p7.json"
     assert cli.main(["--p", "7", "--out", str(out)]) == 0
