@@ -3,14 +3,16 @@
 Stages: validate p and build the field; choose or validate the parameter
 a; run the cube-residue obstruction (plus optional brute-force search);
 exercise the algebra's defining relations, norm forms and division
-property on seeded random samples, every trial block through one runner,
-on two cores when the process has one thread and two CPUs (the bytes do
-not change); generate the projective group and verify order, relations,
-isomorphism and the Jordan index.  Any failed check yields a complete FAIL
-certificate naming the stage; invalid inputs raise a BadInput error instead.
+property on seeded random samples, each half of every trial block drawn
+from its own stream, the second half in a forked child when the process
+has one thread and two CPUs (the bytes do not change); generate the
+projective group and verify order, relations, isomorphism and the Jordan
+index.  Any failed check yields a complete FAIL certificate naming the
+stage; invalid inputs raise a BadInput error instead.
 The module also holds the sample distribution, which the tests draw from too.
 """
 
+import contextlib
 import functools
 import os
 import random
@@ -19,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 from math import lcm
-from operator import methodcaller
+from operator import add, methodcaller
 from typing import Optional
 
 from .algebra import AlgebraElem, CyclicAlgebra
@@ -40,7 +42,7 @@ COMMON_DEN = lcm(*DENOMINATORS)
 
 
 def random_field_elem(field: CycloField, rng) -> FieldElem:
-    # randint before choice, the order the seeded sample streams were pinned in;
+    # randint before choice, the order the golden draws of the seeded streams pin;
     # n / q is n * (COMMON_DEN // q) over COMMON_DEN
     num = [
         rng.randint(*NUMERATOR_RANGE) * (COMMON_DEN // rng.choice(DENOMINATORS))
@@ -103,55 +105,49 @@ def _mat_mul(lhs, rhs):
     )
 
 
-def _failures(blocks, part=None) -> list:
-    """Failures per (n, draw, arity, holds) block: the samples that holds refuses.
+def _failures(seed, blocks, half) -> list:
+    """Failures per (n, draw, arity, holds) block in one half of its trials.
 
-    Every trial draws, but only trials in part are checked: the first n // 2
-    of each block for part 0, the rest for part 1, all of them for None.
+    Half 0 is the first (n + 1) // 2 trials of each block, half 1 the last n // 2;
+    each draws only those, from its own stream seeded by the str f"{seed}/{half}"
+    (an int seed is taken by its absolute value, so s and -s would draw alike).
     """
-    counts = []
-    for n, draw, arity, holds in blocks:
-        lo, hi = (0, n) if part is None else ((0, n // 2), (n // 2, n))[part]
-        samples = ([draw() for _ in range(arity)] for _ in range(n))
-        counts.append(sum(not holds(*x) for i, x in enumerate(samples) if lo <= i < hi))
-    return counts
+    rng = random.Random(f"{seed}/{half}")
+    return [
+        sum(not holds(*[draw(rng) for _ in range(arity)]) for _ in range((n + 1 - half) // 2))
+        for n, draw, arity, holds in blocks
+    ]
 
 
-def _trial_blocks(rng, blocks) -> list:
-    """_failures(blocks), the first half of each block checked by a forked child.
+def _trial_blocks(seed, blocks) -> list:
+    """Failures per block, as one process counts them: half 0, then half 1.
 
-    Only with two CPUs and no other thread, else (or with no child to spare)
-    in-process.  The parent draws every sample in serial order and checks the
-    second halves; the child, from its copy of rng, checks the first halves
-    and exits 0 only when none failed.  Any other exit, or an error in the
-    parent's half (the child is then killed), reaps the child, rewinds rng
-    and reruns the blocks in-process: every child failure and error is serial.
+    With two CPUs and no other thread, a forked child checks half 1 while the
+    parent checks half 0, the larger; the child exits 0 only when its half had
+    no failure.  With no child, or one that did not exit 0, the parent checks
+    half 1 itself, so the counts and the first error raised are those of one
+    process.  An error in half 0 kills and reaps the child first.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus < 2 or threading.active_count() > 1:
-        return _failures(blocks)
-    state, ours = rng.getstate(), None
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        return _failures(blocks)
-    if not pid:
+    pid = None
+    if cpus > 1 and threading.active_count() == 1:
+        with contextlib.suppress(OSError):  # no process to spare
+            pid = os.fork()
+    if pid == 0:
         try:
-            os._exit(int(any(_failures(blocks, 0))))
-        finally:  # the child's half raised
+            os._exit(int(any(_failures(seed, blocks, 1))))
+        finally:  # half 1 raised
             os._exit(1)
     try:
-        ours = _failures(blocks, 1)
-    except Exception:  # the serial run below raises the error a serial run meets first
-        pass
-    finally:
-        if ours is None:
+        counts = _failures(seed, blocks, 0)
+    except BaseException:
+        if pid:
             os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    if status or ours is None:
-        rng.setstate(state)
-        return _failures(blocks)
-    return ours
+            os.waitpid(pid, 0)
+        raise
+    if pid is None or os.waitpid(pid, 0)[1]:
+        counts = list(map(add, counts, _failures(seed, blocks, 1)))
+    return counts
 
 
 def _invertible(x) -> bool:
@@ -166,15 +162,15 @@ def _invertible(x) -> bool:
 def run_algebra_checks(algebra: CyclicAlgebra, seed: int, trials: int) -> dict:
     """Seeded randomized verification of the algebra's contracts; bad counts raise BadInput."""
     _validate_counts(PipelineOptions(seed=seed, trials=trials))
-    rng = random.Random(seed)
     f, al, embed = algebra.field, algebra.alpha(), algebra.embed
     xi = f.zeta()
     split, nrd = methodcaller("splitting_matrix"), methodcaller("reduced_norm")
 
-    # the blocks draw in key order, from the samplers bound at this call
-    lam = functools.partial(random_field_elem, f, rng)
-    elem = functools.partial(random_algebra_elem, algebra, rng)
-    nonzero = functools.partial(random_nonzero_algebra_elem, algebra, rng)
+    # each half draws its blocks in key order, from the samplers bound at this
+    # call; draw(rng) gives each its half's stream
+    lam = functools.partial(random_field_elem, f)
+    elem = functools.partial(random_algebra_elem, algebra)
+    nonzero = functools.partial(random_nonzero_algebra_elem, algebra)
     blocks = {
         "relation_lambda_alpha": (
             trials, lam, 1, lambda y: embed(y) * al == al * embed(y.sigma(1))
@@ -194,7 +190,7 @@ def run_algebra_checks(algebra: CyclicAlgebra, seed: int, trials: int) -> dict:
             trials, elem, 1, lambda x: x.regular_rep_det() == nrd(x).norm()
         ),
     }
-    counts = _trial_blocks(rng, list(blocks.values()))
+    counts = _trial_blocks(seed, list(blocks.values()))
     results = {name: {"trials": block[0], "failures": c, "ok": c == 0}
                for (name, block), c in zip(blocks.items(), counts)}
     # the flags draw nothing; the keys keep the certificate's order

@@ -155,10 +155,6 @@ def _histogram(orders) -> dict:
     return dict(sorted(Counter(orders).items()))
 
 
-def order_histogram(table) -> dict:
-    return _histogram(table_orders(table))
-
-
 def _walk(table, x: int, g: int, steps: int) -> int:
     """Index of elements[x] * elements[g]^steps, read down column g."""
     for _ in range(steps):

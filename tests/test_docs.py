@@ -279,11 +279,32 @@ def test_the_function_check_refuses_a_wrong_name(found):
     assert _function_errors(found) != []
 
 
+# mutant "a", or mutants "a" and "b", or mutants "a", "b" or "c"
+MUTANT_CITATION = re.compile(r'\bmutants?\s+("[^"]+"(?:,?\s+(?:(?:and|or)\s+)?"[^"]+")*)')
+
+
+def _cited_mutants(text: str) -> list:
+    return [n for names in MUTANT_CITATION.findall(text) for n in re.findall(r'"([^"]+)"', names)]
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ('the mutant "a") fails', ["a"]),
+        ('mutants "a" and\n"b" fail', ["a", "b"]),
+        ('mutants "a", "b" or "c"', ["a", "b", "c"]),
+        ('"a" is no mutant; the mutants fail', []),
+    ],
+)
+def test_mutant_citations_are_read_singular_and_plural(text, names):
+    assert _cited_mutants(text) == names
+
+
 def test_every_test_and_mutant_the_docs_cite_exists():
     mutants = (ROOT / "tests" / "mutants.py").read_text(encoding="utf-8")
     for doc in (README, SCHEMA):
         text = doc.read_text(encoding="utf-8")
         for path, name in re.findall(r"(tests/\w+\.py)::(\w+)", text):
             assert f"\ndef {name}(" in (ROOT / path).read_text(encoding="utf-8"), (doc.name, name)
-        for name in re.findall(r'mutant "([^"]+)"', text):
+        for name in _cited_mutants(text):
             assert f'"{name}"' in mutants, (doc.name, name)

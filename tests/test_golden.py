@@ -4,12 +4,13 @@ The files hold certificate_to_json(run_pipeline(p)) for the default
 options, less the wall-clock timings_ms block; any change to the
 arithmetic that alters a certificate shows here.  The p = 31 run is
 shared with the acceptance suite through the timed_cert31 fixture, so it
-runs once.  The algebra stage's random sample stream is pinned draw by
-draw as well, so a check that moves a draw or a sampler that changes a
+runs once.  The algebra stage's two random sample streams are pinned draw
+by draw as well, so a check that moves a draw or a sampler that changes a
 value shows even where the certificate's pass/fail counts would not.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,7 @@ def record_algebra_draws(monkeypatch, p, a, seed, trials):
 
     Only outermost sampler calls are recorded: the field draws inside an
     algebra draw, and the algebra draws inside a nonzero one, are its parts.
+    One CPU, so no child is forked: half 0's draws come first, then half 1's.
     """
     draws, depth = [], 0
 
@@ -69,6 +71,7 @@ def record_algebra_draws(monkeypatch, p, a, seed, trials):
 
     for name in SAMPLERS:
         monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     pipeline.run_algebra_checks(CyclicAlgebra(make_field(p), a), seed, trials)
     monkeypatch.undo()
     return draws
@@ -77,3 +80,10 @@ def record_algebra_draws(monkeypatch, p, a, seed, trials):
 def test_algebra_draws_match_golden(monkeypatch):
     expected = json.loads((GOLDEN / "algebra_draws_p7.json").read_text())
     assert record_algebra_draws(monkeypatch, 7, 2, 0, 2) == expected
+
+
+def test_seeds_of_opposite_sign_draw_different_samples(monkeypatch):
+    # random.Random takes an int seed by its absolute value
+    assert record_algebra_draws(monkeypatch, 7, 2, 5, 2) != record_algebra_draws(
+        monkeypatch, 7, 2, -5, 2
+    )

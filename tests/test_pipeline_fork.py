@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sbcert.cli as cli
+import sbcert.pipeline as pipeline
 from sbcert.algebra import AlgebraElem, CyclicAlgebra
 from sbcert.cyclotomic import make_field
 from sbcert.pipeline import run_algebra_checks
@@ -52,7 +53,8 @@ def test_two_cpus_fork_once_and_match_one_cpu(p, two_cpus, monkeypatch):
 def _oracle_samples(monkeypatch, algebra):
     """regular_rep_det and the oracle's samples in a serial run at seed 0 with 4 trials.
 
-    The first two samples are the child's half of the block, the last two the parent's.
+    A serial run checks the parent's half first, so the first two samples are
+    the parent's half of the block, the last two the child's.
     """
     real = AlgebraElem.regular_rep_det
     seen = []
@@ -82,13 +84,13 @@ def _raises_as_the_serial_run(algebra, two_cpus, monkeypatch, pick):
 
 
 def test_a_check_raising_in_the_childs_half_raises_as_the_serial_run(alg7, two_cpus, monkeypatch):
-    # the child exits 1, and the in-process rerun raises
-    _raises_as_the_serial_run(alg7, two_cpus, monkeypatch, lambda seen: seen[0])
+    # the child exits 1, and the parent's own run of the child's half raises
+    _raises_as_the_serial_run(alg7, two_cpus, monkeypatch, lambda seen: seen[-1])
 
 
 def test_a_check_raising_in_the_parents_half_raises_as_the_serial_run(alg7, two_cpus, monkeypatch):
-    # the parent kills and reaps the child, and the in-process rerun raises
-    _raises_as_the_serial_run(alg7, two_cpus, monkeypatch, lambda seen: seen[-1])
+    # the parent kills and reaps the child, and re-raises
+    _raises_as_the_serial_run(alg7, two_cpus, monkeypatch, lambda seen: seen[0])
 
 
 def test_a_live_thread_means_no_fork(alg7, two_cpus):
@@ -110,16 +112,34 @@ def test_a_live_thread_means_no_fork(alg7, two_cpus):
 def test_a_check_refusing_one_sample_in_either_half_counts_as_the_serial_run(
     side, alg7, two_cpus, monkeypatch
 ):
-    # a failing child exits 1 and the blocks rerun in-process, while a failure
-    # in the parent's half adds to the child's zeros
+    # a failing child exits 1 and the parent checks the child's half itself,
+    # while a failure in the parent's half adds to the child's zeros
     real, seen = _oracle_samples(monkeypatch, alg7)
-    refused = seen[0] if side == "child" else seen[-1]
+    refused = seen[-1] if side == "child" else seen[0]
     monkeypatch.setattr(AlgebraElem, "regular_rep_det", lambda x: real(x) + (x == refused))
     forked = run_algebra_checks(alg7, 0, 4)
     _no_child_left()
     assert two_cpus == [None]
     assert forked == _serial(monkeypatch, alg7, 0, 4)
     assert forked["norm_oracle_agreement"] == {"trials": 4, "failures": 1, "ok": False}
+
+
+def test_every_trial_refused_counts_every_trial_of_an_odd_block(alg7, two_cpus, monkeypatch):
+    # 5 trials split 3 and 2: the parent's half holds the odd one
+    real = pipeline._trial_blocks
+
+    def refusing(seed, blocks):
+        return real(seed, [(n, draw, k, lambda *x: False) for n, draw, k, _ in blocks])
+
+    monkeypatch.setattr(pipeline, "_trial_blocks", refusing)
+    forked = run_algebra_checks(alg7, 0, 5)
+    _no_child_left()
+    assert two_cpus == [None]
+    assert forked == _serial(monkeypatch, alg7, 0, 5)
+    blocks = {k: v for k, v in forked.items() if isinstance(v, dict)}
+    assert len(blocks) == 7
+    assert all(v["failures"] == v["trials"] for v in blocks.values())
+    assert blocks["division_property"] == {"trials": 10, "failures": 10, "ok": False}
 
 
 def test_no_child_to_spare_runs_in_process(alg7, two_cpus, monkeypatch):

@@ -1,6 +1,7 @@
 """Projective classes, group generation, isomorphism, Jordan index."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -37,7 +38,6 @@ from sbcert.projective import (
     is_abelian,
     is_group,
     jordan_index_check,
-    order_histogram,
     semidirect_table,
     table_orders,
     verify_relations,
@@ -243,7 +243,7 @@ def test_element_orders_return_on_a_broken_table():
     broken = _swapped(semidirect_table(7, 2), 1, 1, 2)
     orders = table_orders(broken)
     assert orders[2] == 0
-    assert order_histogram(broken) != order_histogram(semidirect_table(7, 2))
+    assert Counter(table_orders(broken)) != Counter(table_orders(semidirect_table(7, 2)))
     assert jordan_index_check(broken) in range(1, 22)  # its closure walks return too
 
 
@@ -386,7 +386,7 @@ def test_abstract_group_p7():
     # (u, v) sits at index 3u + v
     assert abstract[0][3 * 3 + 1] == 3 * 3 + 1  # (0,0)*(3,1) = (3,1)
     assert abstract[3 * 1 + 1][3 * 1 + 0] == 3 * 3 + 1  # (1,1)*(1,0) = (1+2, 1)
-    assert order_histogram(abstract) == {1: 1, 3: 14, 7: 6}
+    assert Counter(table_orders(abstract)) == {1: 1, 3: 14, 7: 6}
     assert is_group(abstract, (3, 1))
     with pytest.raises(ValueError):
         semidirect_table(7, 3)  # 3 does not have order 3 mod 7
@@ -522,7 +522,7 @@ def test_isomorphism_p7(alg7):
     assert result["ok"]
     assert result["pairs_checked"] == 441
     assert result["counterexample"] is None
-    assert order_histogram(table) == order_histogram(abstract)
+    assert Counter(table_orders(table)) == Counter(table_orders(abstract))
 
 
 def test_isomorphism_rejects_wrong_twist(alg7):
