@@ -10,10 +10,9 @@ certificate of every verified claim.
 """
 
 from .algebra import CyclicAlgebra
-from .certificate import certificate_to_json
 from .cyclotomic import make_field
 from .obstruction import choose_a, is_cube_mod_p
-from .pipeline import PipelineOptions, run_algebra_checks, run_pipeline
+from .pipeline import PipelineOptions, certificate_to_json, run_algebra_checks, run_pipeline
 from .projective import group_report
 
 __version__ = "0.1.0"

@@ -3,9 +3,8 @@
 import argparse
 import sys
 
-from .certificate import certificate_to_json
 from .errors import BadInput, SbcertError
-from .pipeline import PipelineOptions, run_pipeline
+from .pipeline import PipelineOptions, certificate_to_json, run_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -137,18 +137,8 @@ def _closures(table) -> list:
 
 
 def _orders(table) -> list:
+    """Each element's order in a square table; 0 where its powers repeat before 0."""
     return [len(c) if reached else 0 for c, reached in _closures(table)]
-
-
-def table_orders(table) -> list:
-    """The order of every element, by walking its powers back to the identity 0.
-
-    An element whose powers repeat before they reach 0 (only possible when
-    the table is not a group) gets order 0, as does all of a table that is
-    not square with entries in range.
-    """
-    n = len(table)
-    return _orders(table) if _square(table, n) else [0] * n
 
 
 def _histogram(orders) -> dict:
@@ -283,7 +273,7 @@ def jordan_index_check(table) -> int:
     the cyclic closures of single elements (0's is the trivial group) and
     the whole group exhaust all subgroups.  A table that is not a group
     (not square with entries in range, a row without the identity 0, or no
-    normal abelian subgroup found) gets 0, as in table_orders.
+    normal abelian subgroup found) gets 0.
     """
     n = len(table)
     if not _square(table, n) or any(0 not in row for row in table):

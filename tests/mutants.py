@@ -291,14 +291,14 @@ MUTANTS = (
     ),
     Mutant(
         "_encode without _int_field",
-        "certificate.py",
+        "pipeline.py",
         "    return _int_field(value)",
         "    return value",
         ("tests/test_certificate_cli.py::test_wide_ints_are_strings_in_every_block",),
     ),
     Mutant(
         "_encode leaves tuples alone",
-        "certificate.py",
+        "pipeline.py",
         "if isinstance(value, (list, tuple)):",
         "if isinstance(value, list):",
         (
@@ -402,6 +402,18 @@ MUTANTS = (
         "pipeline.py",
         'random.Random(f"{seed}/{half}")',
         'random.Random(f"{seed}")',
+        ("tests/test_golden.py::test_algebra_draws_match_golden",),
+    ),
+    Mutant(
+        # the stream and the counts stay; only the block of one draw moves
+        "a draw moved between the two reduced norm blocks",
+        "pipeline.py",
+        "(trials, elem, 1, lambda x: nrd(x).is_in_K()),\n"
+        '        "reduced_norm_multiplicativity": (\n'
+        "            trials, elem, 2, lambda x, y: nrd(x * y) == nrd(x) * nrd(y)",
+        "(trials, elem, 2, lambda x, _: nrd(x).is_in_K()),\n"
+        '        "reduced_norm_multiplicativity": (\n'
+        "            trials, elem, 1, lambda x: nrd(x * x) == nrd(x) * nrd(x)",
         ("tests/test_golden.py::test_algebra_draws_match_golden",),
     ),
     Mutant(

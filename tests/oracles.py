@@ -210,8 +210,8 @@ def table_orders_by_bounded_walk(table) -> list:
     """The order of every element, by at most n steps down its column.
 
     A walk that has not reached the identity 0 after n steps gives 0; the
-    package's table_orders stops at a repeat instead, and must agree on
-    every table, a group or not.
+    package's _orders stops at a repeat instead, and must agree on every
+    square table with entries in range, a group or not.
     """
     n = len(table)
     orders = []

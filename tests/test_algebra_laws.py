@@ -3,9 +3,10 @@
 The product, sigma, the splitting matrix M and the shift-built rows of left
 multiplication are Q-linear in each argument, so a law that holds on every
 tuple of basis elements holds on all of A.  At p = 7 the basis has
-3(p - 1) = 18 elements.  Light's test of associativity, the defining
-relation on the powers of zeta and the closure proof that the splitting
-matrix is multiplicative also run at p = 13 and 31.  The randomized suite
+3(p - 1) = 18 elements.  Light's test of associativity and the closure
+proof that the splitting matrix is multiplicative also run at p = 13, 31
+and 43, and the defining relation on the powers of zeta at every
+p = 1 (mod 3) up to the cap of 103.  The randomized suite
 and the certificate's trial blocks sample the same laws, and they also
 reach dense operands, where a product that is not bilinear would show.
 """
@@ -19,6 +20,10 @@ from sbcert.algebra import CyclicAlgebra
 from sbcert.cyclotomic import make_field
 from sbcert.obstruction import choose_a
 from sbcert.rationals import Rat
+
+PRIMES = [7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97, 103]  # every p = 1 (mod 3) up to the cap
+# Light's test takes 3.1 s at p = 43 on one CPU and 8.4 s at 61, so it stops at 43
+LIGHTS_PRIMES = [7, 13, 31, 43]
 
 
 def _monomial(algebra, e, c):
@@ -55,7 +60,7 @@ def test_associativity_on_basis(basis7):
         assert (x * y) * z == x * (y * z)
 
 
-@pytest.mark.parametrize("p", [7, 13, 31])
+@pytest.mark.parametrize("p", LIGHTS_PRIMES)
 def test_associativity_by_lights_test(p):
     # the s with (x s) y = x (s y) for all x, y form a subspace closed under
     # products: (x (s t)) y = ((x s) t) y = (x s) (t y) = x (s (t y)) = x ((s t) y).
@@ -70,8 +75,8 @@ def test_associativity_by_lights_test(p):
 
 
 @pytest.mark.parametrize(
-    "p, a", [(7, 2), (7, -5), (13, choose_a(13)), (31, choose_a(31))],
-    ids=["a=2", "a=-5", "p=13", "p=31"],
+    "p, a", [(7, 2), (7, -5), *((p, choose_a(p)) for p in PRIMES[1:])],
+    ids=["a=2", "a=-5", *(f"p={p}" for p in PRIMES[1:])],
 )
 def test_lambda_alpha_on_basis(p, a):
     # lambda alpha = alpha s(lambda) is Q-linear in lambda, so the p - 1 powers
@@ -91,7 +96,8 @@ def test_splitting_matrix_multiplicative_on_basis(basis7):
         assert (x * y).splitting_matrix() == mat_mul(field, split[x], split[y])
 
 
-@pytest.mark.parametrize("p", [7, 13, 31])
+# at the primes of Light's test, which the closure argument needs
+@pytest.mark.parametrize("p", LIGHTS_PRIMES)
 def test_splitting_matrix_multiplicative_by_closure(p):
     # the y with M(x y) = M(x) M(y) for all x form a subspace, and, as the
     # product is associative (Light's test above), one closed under products:

@@ -17,7 +17,6 @@ import sbcert.obstruction as obstruction
 import sbcert.pipeline as pipeline
 import sbcert.projective as projective
 from sbcert.algebra import CyclicAlgebra
-from sbcert.certificate import _encode, _int_field, certificate_to_dict, certificate_to_json
 from sbcert.cyclotomic import make_field
 from sbcert.errors import (
     BadInput,
@@ -31,7 +30,14 @@ from sbcert.errors import (
     WrongResidue,
 )
 from sbcert.obstruction import obstruction_report
-from sbcert.pipeline import PipelineOptions, run_pipeline
+from sbcert.pipeline import (
+    PipelineOptions,
+    _encode,
+    _int_field,
+    certificate_to_dict,
+    certificate_to_json,
+    run_pipeline,
+)
 from sbcert.rationals import Rat
 
 FAST = PipelineOptions(trials=10, norm_search_bound=0)

@@ -5,7 +5,8 @@ options, less the wall-clock timings_ms block; any change to the
 arithmetic that alters a certificate shows here.  The p = 31 run is
 shared with the acceptance suite through the timed_cert31 fixture, so it
 runs once.  The algebra stage's two random sample streams are pinned draw
-by draw as well, so a check that moves a draw or a sampler that changes a
+by draw as well, each draw with its block, so a check that moves a draw,
+even between blocks that share a sampler, or a sampler that changes a
 value shows even where the certificate's pass/fail counts would not.
 """
 
@@ -41,36 +42,36 @@ def test_certificate_p31_matches_golden(timed_cert31):
     assert untimed_json(timed_cert31[0]) == expected
 
 
-SAMPLERS = ("random_field_elem", "random_algebra_elem", "random_nonzero_algebra_elem")
-
-
 def record_algebra_draws(monkeypatch, p, a, seed, trials):
-    """Every draw run_algebra_checks makes: its sampler and each component's num and den.
+    """Every draw run_algebra_checks makes: its block, its sampler and each component.
 
-    Only outermost sampler calls are recorded: the field draws inside an
-    algebra draw, and the algebra draws inside a nonzero one, are its parts.
-    One CPU, so no child is forked: half 0's draws come first, then half 1's.
+    Each block's draw is wrapped, so a draw is tagged with the index of its
+    block in key order and the sampler the block binds, and a component by
+    its num and den; the samplers' inner draws are parts of theirs.  One
+    CPU, so no child is forked: half 0's draws come first, then half 1's.
     """
-    draws, depth = [], 0
+    draws = []
+    real_trial_blocks = pipeline._trial_blocks
 
-    def recording(name, real):
-        def draw(*args):
-            nonlocal depth
-            depth += 1
-            x = real(*args)
-            depth -= 1
-            if not depth:
-                parts = (x,) if name == "random_field_elem" else x.components
-                draws.append(
-                    {"sampler": name,
-                     "components": [{"num": list(c.num), "den": c.den} for c in parts]}
-                )
+    def recording(block, draw):
+        def recorded(rng):
+            x, name = draw(rng), draw.func.__name__
+            parts = (x,) if name == "random_field_elem" else x.components
+            draws.append(
+                {"block": block, "sampler": name,
+                 "components": [{"num": list(c.num), "den": c.den} for c in parts]}
+            )
             return x
 
-        return draw
+        return recorded
 
-    for name in SAMPLERS:
-        monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
+    def trial_blocks(seed, blocks):
+        return real_trial_blocks(
+            seed, [(n, recording(i, draw), arity, holds)
+                   for i, (n, draw, arity, holds) in enumerate(blocks)]
+        )
+
+    monkeypatch.setattr(pipeline, "_trial_blocks", trial_blocks)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     pipeline.run_algebra_checks(CyclicAlgebra(make_field(p), a), seed, trials)
     monkeypatch.undo()

@@ -17,9 +17,9 @@ import pytest
 from oracles import split_model_group
 
 from sbcert.algebra import CyclicAlgebra
-from sbcert.certificate import _encode
 from sbcert.cyclotomic import make_field
 from sbcert.obstruction import choose_a
+from sbcert.pipeline import _encode
 from sbcert.projective import group_report
 
 GOLDEN = Path(__file__).parent / "golden"

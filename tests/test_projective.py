@@ -23,13 +23,13 @@ from oracles import (
 import sbcert.cyclotomic as cyclotomic
 import sbcert.projective as projective
 from sbcert.algebra import AlgebraElem, CyclicAlgebra
-from sbcert.certificate import _encode
 from sbcert.cyclotomic import FieldElem, k_coordinate_vector, make_field
 from sbcert.errors import CapExceeded, ZeroElement
 from sbcert.obstruction import choose_a
-from sbcert.pipeline import random_nonzero_algebra_elem
+from sbcert.pipeline import _encode, random_nonzero_algebra_elem
 from sbcert.projective import (
     ISO_CONVENTION,
+    _orders,
     canonicalize,
     cayley_table,
     check_isomorphism,
@@ -39,7 +39,6 @@ from sbcert.projective import (
     is_group,
     jordan_index_check,
     semidirect_table,
-    table_orders,
     verify_relations,
 )
 from sbcert.rationals import Rat
@@ -233,7 +232,7 @@ def test_class_eq_agrees_with_canonical_equality(alg7, field7, rng):
 
 def test_element_orders(alg7):
     table, xi, al = _tabulated(alg7)
-    orders = table_orders(table)
+    orders = _orders(table)
     assert (orders[0], orders[al], orders[xi]) == (1, 3, 7)
 
 
@@ -241,9 +240,9 @@ def test_element_orders_return_on_a_broken_table():
     # after the swap the powers of element 2 never reach the identity; the
     # walk stops at their first repeat and reports order 0, not looping for ever
     broken = _swapped(semidirect_table(7, 2), 1, 1, 2)
-    orders = table_orders(broken)
+    orders = _orders(broken)
     assert orders[2] == 0
-    assert Counter(table_orders(broken)) != Counter(table_orders(semidirect_table(7, 2)))
+    assert Counter(_orders(broken)) != Counter(_orders(semidirect_table(7, 2)))
     assert jordan_index_check(broken) in range(1, 22)  # its closure walks return too
 
 
@@ -256,8 +255,9 @@ def _tables(n):
 @settings(deadline=None, derandomize=True)
 @given(st.integers(1, 12).flatmap(_tables))
 def test_element_orders_match_the_bounded_walk_on_any_table(table):
-    # most such tables are not groups: walks that repeat before 0 give 0
-    assert table_orders(table) == table_orders_by_bounded_walk(table)
+    # square with entries in range, as _orders needs; most such tables are not
+    # groups: walks that repeat before 0 give 0
+    assert _orders(table) == table_orders_by_bounded_walk(table)
 
 
 def test_xi_powers_nontrivial_below_p(alg7):
@@ -386,7 +386,7 @@ def test_abstract_group_p7():
     # (u, v) sits at index 3u + v
     assert abstract[0][3 * 3 + 1] == 3 * 3 + 1  # (0,0)*(3,1) = (3,1)
     assert abstract[3 * 1 + 1][3 * 1 + 0] == 3 * 3 + 1  # (1,1)*(1,0) = (1+2, 1)
-    assert Counter(table_orders(abstract)) == {1: 1, 3: 14, 7: 6}
+    assert Counter(_orders(abstract)) == {1: 1, 3: 14, 7: 6}
     assert is_group(abstract, (3, 1))
     with pytest.raises(ValueError):
         semidirect_table(7, 3)  # 3 does not have order 3 mod 7
@@ -434,7 +434,6 @@ def test_table_checks_return_a_verdict_on_an_entry_out_of_range(junk):
         }
         # unguarded, these readers raise IndexError on 21 at (1, 1), and on -1
         # the Jordan index wraps round to 3, the passing value
-        assert table_orders(broken) == [0] * 21
         assert not any(verify_relations(broken, 3, 1, 7, 2).values())
         assert jordan_index_check(broken) == 0
         assert is_abelian(broken)  # the failing verdict for non_abelian
@@ -450,7 +449,6 @@ def test_table_checks_return_a_verdict_on_an_entry_out_of_range(junk):
 def test_table_checks_return_a_verdict_on_an_empty_or_short_row(table):
     assert not is_group(table, (0,))
     assert not check_isomorphism(table, 0, 0, [[0] * len(table)] * len(table))["ok"]
-    assert table_orders(table) == [0] * len(table)
     assert not any(verify_relations(table, 0, 0, 7, 2).values())
     assert jordan_index_check(table) == 0
     assert is_abelian(table)  # unguarded, [[0], []] raises IndexError
@@ -522,7 +520,7 @@ def test_isomorphism_p7(alg7):
     assert result["ok"]
     assert result["pairs_checked"] == 441
     assert result["counterexample"] is None
-    assert Counter(table_orders(table)) == Counter(table_orders(abstract))
+    assert Counter(_orders(table)) == Counter(_orders(abstract))
 
 
 def test_isomorphism_rejects_wrong_twist(alg7):
