@@ -32,7 +32,7 @@ from operator import add, neg, sub
 
 from . import linalg
 from .cyclotomic import CycloField, FieldElem, _fold, _power, k_inverse
-from .errors import DivisionByZero, NotInvertible, ParamMismatch
+from .errors import DivisionByZero, NotInvertible
 from .rationals import Rat
 
 
@@ -64,13 +64,13 @@ class CyclicAlgebra:
         return f"CyclicAlgebra(p={self.field.p}, a={self.a})"
 
     def element(self, x0, x1, x2) -> "AlgebraElem":
-        """The one constructor; a component of another field raises ParamMismatch."""
+        """The one constructor; a component of another field raises ValueError."""
         comps = []
         for c in (x0, x1, x2):
             if not isinstance(c, FieldElem):
                 c = self.field.from_rational(c)
             elif c.field is not self.field:
-                raise ParamMismatch("component from a different field")
+                raise ValueError("component from a different field")
             comps.append(c)
         return AlgebraElem(self, *comps)
 
@@ -101,7 +101,7 @@ class AlgebraElem:
         if not isinstance(other, AlgebraElem):
             raise TypeError(f"expected AlgebraElem, got {type(other).__name__}")
         if other.algebra != self.algebra:
-            raise ParamMismatch("elements from different algebras")
+            raise ValueError("elements from different algebras")
         return other
 
     def __add__(self, other):

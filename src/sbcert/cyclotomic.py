@@ -35,15 +35,7 @@ from math import gcd, isqrt, lcm
 from operator import add, itemgetter
 
 from . import linalg
-from .errors import (
-    BadResidue,
-    DivisionByZero,
-    NotInvertible,
-    NotPrime,
-    PrimeTooLarge,
-    SingularBasis,
-    WrongResidue,
-)
+from .errors import BadInput, DivisionByZero, NotInvertible, SbcertError
 from .rationals import Rat
 
 
@@ -113,11 +105,11 @@ _P_MAX = 103  # the largest prime with pinned results (tests/golden/group_p103.j
 def make_field(p: int) -> CycloField:
     """Validate p and return its one field; d is the smallest order-3 residue."""
     if isinstance(p, int) and p > _P_MAX:  # before is_prime, whose trial division is slow
-        raise PrimeTooLarge(f"p = {p} is above {_P_MAX}, the largest p sbcert is tested at")
+        raise BadInput(f"p = {p} is above {_P_MAX}, the largest p sbcert is tested at")
     if not isinstance(p, int) or not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise BadInput(f"{p} is not prime")
     if p % 3 != 1:
-        raise WrongResidue(f"p = {p} has p mod 3 = {p % 3}, need p = 1 (mod 3)")
+        raise BadInput(f"p = {p} has p mod 3 = {p % 3}, need p = 1 (mod 3)")
     d = next(t for t in range(2, p) if pow(t, 3, p) == 1)
     return _FIELDS.setdefault(p, CycloField(p, d, (p - 1) // 3))
 
@@ -290,7 +282,7 @@ class FieldElem:
         p = self.field.p
         t %= p
         if gcd(t, p) != 1:
-            raise BadResidue(f"t = {t} is not a unit modulo {p}")
+            raise ValueError(f"t = {t} is not a unit modulo {p}")
         return self._permuted(_aut_gather(p, t))
 
     def sigma(self, power: int = 1) -> "FieldElem":
@@ -345,7 +337,7 @@ def _k_basis_inverse(field: CycloField):
     """Inverse of the basis matrix {eta_i * zeta^j}, as integer rows.
 
     The matrix is unimodular because {eta_i * zeta^j} is a Z-basis of
-    Z[zeta] (module docstring); anything else raises SingularBasis.
+    Z[zeta] (module docstring); anything else raises SbcertError.
     Returned transposed (index [input coordinate][unknown]) so decomposition
     is a sparse row accumulation.  Unknown order is (j, i): block j holds
     the period coordinates of the K-component multiplying zeta^j.
@@ -355,7 +347,7 @@ def _k_basis_inverse(field: CycloField):
     cols = [(eta * field.zeta(j)).num for j in range(3) for eta in periods]
     inv, den = linalg.invert([[cols[c][r] for c in range(n)] for r in range(n)])
     if den != 1:
-        raise SingularBasis(f"the K-basis matrix is not unimodular: its inverse has den {den}")
+        raise SbcertError(f"the K-basis matrix is not unimodular: its inverse has den {den}")
     return tuple(zip(*inv))
 
 

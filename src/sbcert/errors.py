@@ -1,4 +1,10 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package: one class per way a caller handles it.
+
+BadInput is a value the user supplied out of range; the CLI exits 2 on it.
+Any other SbcertError is a check that failed inside a stage; the CLI exits 3.
+NotInvertible is the one a trial catches: a zero-divisor draw fails the trial.
+TypeError and ValueError mark misuse of the library, such as mixed fields.
+"""
 
 
 class SbcertError(Exception):
@@ -9,65 +15,9 @@ class BadInput(SbcertError):
     """A value the user supplied is out of range; the CLI exits 2 on every one."""
 
 
-class NotPrime(BadInput):
-    pass
-
-
-class WrongResidue(BadInput):
-    pass
-
-
-class PrimeTooLarge(BadInput):
-    """p above the largest prime with pinned results; rejected before any work on it."""
-
-
-class BadResidue(SbcertError):
-    pass
-
-
 class DivisionByZero(SbcertError, ZeroDivisionError):
-    pass
-
-
-class SingularMatrix(SbcertError):
-    pass
-
-
-class SingularBasis(SbcertError):
-    """The fixed-field basis matrix is not unimodular; internal invariant violation."""
-
-
-class ParamMismatch(SbcertError):
-    pass
+    """The inverse of zero: a field, fixed-field, algebra or projective zero."""
 
 
 class NotInvertible(SbcertError):
-    pass
-
-
-class ZeroElement(SbcertError):
-    pass
-
-
-class CapExceeded(SbcertError):
-    pass
-
-
-class BoundTooLarge(BadInput):
-    pass
-
-
-class RejectedOverride(BadInput):
-    pass
-
-
-class BadTrialCount(BadInput):
-    """Fewer than one sample requested: a PASS would rest on no evidence."""
-
-
-class BadSearchBound(BadInput):
-    """A negative norm-search height bound: there is no such search to run."""
-
-
-class BadSeed(BadInput):
-    """A seed that is not a plain int: the certificate could not reproduce the run."""
+    """A non-zero element with no inverse; a trial counts it as a failure."""

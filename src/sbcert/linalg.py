@@ -12,7 +12,7 @@ every result is deterministic.
 
 from math import gcd
 
-from .errors import SingularMatrix
+from .errors import SbcertError
 
 
 def _int_rows(rows) -> list:
@@ -65,7 +65,7 @@ def _solve_ints(rows, n):
     """
     det = _bareiss(rows, n)
     if not det:
-        raise SingularMatrix(f"singular {n} x {n} matrix")
+        raise SbcertError(f"singular {n} x {n} matrix")
     scaled = [None] * n
     for i in reversed(range(n)):
         row = rows[i]
@@ -80,14 +80,14 @@ def _solve_ints(rows, n):
 
 
 def solve(matrix, rhs):
-    """Solve matrix @ x = rhs exactly: (y, d) with x = y / d; raises SingularMatrix."""
+    """Solve matrix @ x = rhs exactly: (y, d) with x = y / d; raises SbcertError."""
     rows = _int_rows([*row, b] for row, b in zip(matrix, rhs))
     sol, den = _solve_ints(rows, len(rows))
     return [y for (y,) in sol], den
 
 
 def invert(matrix):
-    """Exact inverse of an integer matrix: (Y, d) for Y / d; raises SingularMatrix."""
+    """Exact inverse of an integer matrix: (Y, d) for Y / d; raises SbcertError."""
     rows = _int_rows(matrix)
     n = len(rows)
     for i, row in enumerate(rows):

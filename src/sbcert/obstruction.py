@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cyclotomic import CycloField, FieldElem
-from .errors import BadResidue, BoundTooLarge
+from .errors import BadInput
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
@@ -27,7 +27,7 @@ def cubes_mod_p(p: int) -> frozenset:
 def is_cube_mod_p(a: int, p: int) -> bool:
     """Euler-style criterion: a is a cube mod p iff a^((p-1)/3) = 1 (mod p)."""
     if a % p == 0:
-        raise BadResidue(f"{a} is divisible by {p}")
+        raise ValueError(f"{a} is divisible by {p}")
     return pow(a, (p - 1) // 3, p) == 1
 
 
@@ -59,7 +59,7 @@ def brute_force_norm_search(field: CycloField, a, bound: int) -> Optional[FieldE
     """
     total = search_candidate_count(field, bound)
     if total > DEFAULT_ENUMERATION_CAP:
-        raise BoundTooLarge(
+        raise BadInput(
             f"bound {bound} means {total} candidates, above the cap of {DEFAULT_ENUMERATION_CAP}"
         )
     target = field.from_rational(a)

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .algebra import AlgebraElem, CyclicAlgebra
 from .cyclotomic import CycloField, FieldElem, _reduced, make_field
-from .errors import BadSearchBound, BadSeed, BadTrialCount, NotInvertible, RejectedOverride
+from .errors import BadInput, NotInvertible
 from .obstruction import ObstructionReport, certifies_division, choose_a, obstruction_report
 from .projective import GroupReport, group_report
 
@@ -83,19 +83,19 @@ def _validate_counts(opts: PipelineOptions) -> None:
     # type() is int, not isinstance: a bool is an int, but JSON writes it as true
     trials, bound = opts.trials, opts.norm_search_bound
     if type(opts.seed) is not int:
-        raise BadSeed(f"seed = {opts.seed!r}; the seed must be an int")
+        raise BadInput(f"seed = {opts.seed!r}; the seed must be an int")
     if type(trials) is not int or trials < 1:
-        raise BadTrialCount(f"trials = {trials!r}; the checks need a whole number, at least 1")
+        raise BadInput(f"trials = {trials!r}; the checks need a whole number, at least 1")
     if bound is not None and (type(bound) is not int or bound < 0):
-        raise BadSearchBound(f"norm search bound = {bound!r}; use a whole number, 0 to skip")
+        raise BadInput(f"norm search bound = {bound!r}; use a whole number, 0 to skip")
 
 
 def _validate_override(p: int, a: int) -> int:
     if type(a) is not int:  # a bool is an int to isinstance, not a parameter
-        raise RejectedOverride(f"a = {a!r} is not an int; the parameter must be an integer")
+        raise BadInput(f"a = {a!r} is not an int; the parameter must be an integer")
     if not certifies_division(a, p):
         why = "is not a unit" if a % p == 0 else "is a cube"
-        raise RejectedOverride(
+        raise BadInput(
             f"a = {a} {why} modulo p = {p}; certifying the division property "
             "needs a unit with a non-cube residue"
         )

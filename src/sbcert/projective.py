@@ -35,7 +35,7 @@ from typing import Optional
 
 from .algebra import AlgebraElem, CyclicAlgebra
 from .cyclotomic import _reduced, k_coordinate_vector, k_inverse_from_period_coords
-from .errors import CapExceeded, ZeroElement
+from .errors import DivisionByZero, SbcertError
 
 ISO_CONVENTION = "phi(u, v) = xi_hat^u * (alpha_hat^2)^v"
 
@@ -50,7 +50,7 @@ def canonicalize(x: AlgebraElem, inverses: Optional[dict] = None) -> AlgebraElem
     if inverses is None:
         inverses = {}
     if not x:
-        raise ZeroElement("the zero element has no projective class")
+        raise DivisionByZero("the zero element has no projective class")
     field = x.algebra.field
     k = field.k
     comp = next(filter(None, x.components))
@@ -96,7 +96,7 @@ def generate_subgroup(gens) -> list:
                 i = index[h] = len(index)
                 found_by.append(y)
                 if len(index) > cap:
-                    raise CapExceeded(
+                    raise SbcertError(
                         f"subgroup generation exceeded cap {cap}; expected order 3p"
                     )
             successors.append(i)

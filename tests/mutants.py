@@ -254,7 +254,7 @@ MUTANTS = (
         "the field guard of CyclicAlgebra.element removed",
         "algebra.py",
         "            elif c.field is not self.field:\n"
-        "                raise ParamMismatch(\"component from a different field\")\n",
+        "                raise ValueError(\"component from a different field\")\n",
         "",
         ("tests/test_algebra.py::test_components_from_another_field_rejected",),
     ),
@@ -508,6 +508,13 @@ MUTANTS = (
             "tests/test_perfbench_bindings.py::"
             "test_package_root_names_used_by_the_benchmark_and_readme_resolve",
         ),
+    ),
+    Mutant(
+        "DivisionByZero loses its SbcertError base",
+        "errors.py",
+        "class DivisionByZero(SbcertError, ZeroDivisionError):",
+        "class DivisionByZero(ZeroDivisionError):",
+        ("tests/test_certificate_cli.py::test_cli_stage_error_exits_3",),
     ),
 )
 

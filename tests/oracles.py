@@ -7,7 +7,7 @@ from math import isqrt, lcm
 from sbcert import linalg
 from sbcert.algebra import AlgebraElem
 from sbcert.cyclotomic import gaussian_periods, k_coordinate_vector
-from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch, ZeroElement
+from sbcert.errors import DivisionByZero, NotInvertible
 from sbcert.projective import ISO_CONVENTION, canonicalize
 from sbcert.rationals import Rat
 
@@ -193,9 +193,9 @@ def rank(matrix) -> int:
 def class_eq(x: AlgebraElem, y: AlgebraElem) -> bool:
     """Direct test for x = c*y with c in K*; independent of canonicalize() and k_inverse."""
     if not x or not y:
-        raise ZeroElement("projective comparison of the zero element")
+        raise DivisionByZero("projective comparison of the zero element")
     if x.algebra != y.algebra:
-        raise ParamMismatch("elements from different algebras")
+        raise ValueError("elements from different algebras")
     pivot = next(i for i, yc in enumerate(y.components) if yc)
     xc = x.components[pivot]
     if not xc:

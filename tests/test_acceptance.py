@@ -14,7 +14,7 @@ from oracles import class_eq
 
 from sbcert.algebra import CyclicAlgebra
 from sbcert.cyclotomic import gaussian_periods, make_field
-from sbcert.errors import RejectedOverride, WrongResidue
+from sbcert.errors import BadInput
 from sbcert.obstruction import brute_force_norm_search, cubes_mod_p, is_cube_mod_p
 from sbcert.pipeline import (
     PipelineOptions,
@@ -212,11 +212,13 @@ def test_criterion_9_negative_controls():
     try:
         run_pipeline(11)
         failures.append("p=11 was not rejected")
-    except WrongResidue:
-        pass
+    except BadInput as exc:
+        if "need p = 1 (mod 3)" not in str(exc):
+            failures.append(f"p=11 was rejected for another reason: {exc}")
     try:
         run_pipeline(7, PipelineOptions(a=6))
         failures.append("cube override a=6 was not rejected")
-    except RejectedOverride:
-        pass
+    except BadInput as exc:
+        if "is a cube modulo p = 7" not in str(exc):
+            failures.append(f"a=6 was rejected for another reason: {exc}")
     _emit(9, "negative controls", failures)

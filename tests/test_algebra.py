@@ -7,7 +7,7 @@ from oracles import inverse_via_solve, mat_mul
 
 from sbcert.algebra import AlgebraElem, CyclicAlgebra
 from sbcert.cyclotomic import FieldElem, gaussian_periods, make_field
-from sbcert.errors import DivisionByZero, NotInvertible, ParamMismatch
+from sbcert.errors import DivisionByZero, NotInvertible
 from sbcert.obstruction import certifies_division
 from sbcert.pipeline import (
     random_algebra_elem,
@@ -123,10 +123,10 @@ def test_alpha_cubed_takes_two_products(alg7, monkeypatch):
 def test_param_mismatch(field7, field13):
     a2 = CyclicAlgebra(field7, 2)
     a3 = CyclicAlgebra(field7, 3)
-    with pytest.raises(ParamMismatch):
+    with pytest.raises(ValueError, match="elements from different algebras"):
         a2.one() * a3.one()
     a13 = CyclicAlgebra(field13, 2)
-    with pytest.raises(ParamMismatch):
+    with pytest.raises(ValueError, match="elements from different algebras"):
         a2.one() * a13.one()
     # an algebra element multiplies algebra elements only; scale() takes scalars
     with pytest.raises(TypeError, match="expected AlgebraElem, got int"):
@@ -139,7 +139,7 @@ def test_components_from_another_field_rejected(alg7, field13):
         lambda: alg7.element(field13.zeta(), 0, 0),
         lambda: alg7.embed(field13.zeta()),
     ):
-        with pytest.raises(ParamMismatch):
+        with pytest.raises(ValueError, match="component from a different field"):
             build()
 
 

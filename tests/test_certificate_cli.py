@@ -18,17 +18,7 @@ import sbcert.pipeline as pipeline
 import sbcert.projective as projective
 from sbcert.algebra import CyclicAlgebra
 from sbcert.cyclotomic import make_field
-from sbcert.errors import (
-    BadInput,
-    BadSearchBound,
-    BadSeed,
-    BadTrialCount,
-    BoundTooLarge,
-    CapExceeded,
-    NotPrime,
-    RejectedOverride,
-    WrongResidue,
-)
+from sbcert.errors import BadInput, DivisionByZero, NotInvertible, SbcertError
 from sbcert.obstruction import obstruction_report
 from sbcert.pipeline import (
     PipelineOptions,
@@ -60,39 +50,39 @@ def test_pipeline_p7(cert7_fast):
 
 
 def test_pipeline_rejects_bad_primes():
-    with pytest.raises(WrongResidue):
+    with pytest.raises(BadInput, match=r"need p = 1 \(mod 3\)"):
         run_pipeline(11)
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadInput, match="6 is not prime"):
         run_pipeline(6)
 
 
 def test_pipeline_rejects_cube_override():
-    with pytest.raises(RejectedOverride):
+    with pytest.raises(BadInput, match="a = 6 is a cube modulo p = 7"):
         run_pipeline(7, PipelineOptions(a=6))
-    with pytest.raises(RejectedOverride):
+    with pytest.raises(BadInput, match="a = 0 is not a unit modulo p = 7"):
         run_pipeline(7, PipelineOptions(a=0))
-    with pytest.raises(RejectedOverride):
+    with pytest.raises(BadInput, match="a = 14 is not a unit modulo p = 7"):
         run_pipeline(7, PipelineOptions(a=14))
     # not integers: truncating them would quietly certify a = 3 instead
-    with pytest.raises(RejectedOverride):
+    with pytest.raises(BadInput, match="a = 3.9 is not an int"):
         run_pipeline(7, PipelineOptions(a=3.9))
-    with pytest.raises(RejectedOverride):
+    with pytest.raises(BadInput, match=r"a = Fraction\(7, 2\) is not an int"):
         run_pipeline(7, PipelineOptions(a=Fraction(7, 2)))
     # a bool passes isinstance(a, int), but it is not graded as a cube or a non-unit
     for a in (True, False):
-        with pytest.raises(RejectedOverride, match="not an int"):
+        with pytest.raises(BadInput, match="not an int"):
             run_pipeline(7, PipelineOptions(a=a))
 
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_pipeline_rejects_trials_below_one(trials):
-    with pytest.raises(BadTrialCount):
+    with pytest.raises(BadInput, match=f"trials = {trials}; the checks need a whole number"):
         run_pipeline(7, PipelineOptions(trials=trials, norm_search_bound=0))
 
 
 @pytest.mark.parametrize("bound", [-1, -2])
 def test_pipeline_rejects_negative_search_bound(bound):
-    with pytest.raises(BadSearchBound):
+    with pytest.raises(BadInput, match=f"norm search bound = {bound}; use a whole number"):
         run_pipeline(7, PipelineOptions(trials=1, norm_search_bound=bound))
 
 
@@ -103,36 +93,25 @@ def test_pipeline_accepts_non_cube_override():
     assert negative.passed and negative.a == -5
 
 
-@pytest.mark.parametrize(
-    "error",
-    [
-        BadTrialCount,
-        BadSearchBound,
-        BadSeed,
-        NotPrime,
-        WrongResidue,
-        RejectedOverride,
-        BoundTooLarge,
-    ],
-)
-def test_input_errors_share_one_base(error):
-    # the CLI maps BadInput to exit 2, so every input error has to be one
-    assert issubclass(error, BadInput)
+# the message of each count guard in _validate_counts, so a test shows which one fired
+_SEED = "the seed must be an int"
+_TRIALS = "the checks need a whole number, at least 1"
+_BOUND = "use a whole number, 0 to skip"
 
 
 @pytest.mark.parametrize(
-    "options, error",
+    "options, message",
     [
-        (PipelineOptions(trials=2.5, norm_search_bound=0), BadTrialCount),
-        (PipelineOptions(trials=Fraction(5, 2), norm_search_bound=0), BadTrialCount),
-        (PipelineOptions(trials=2, norm_search_bound=1.5), BadSearchBound),
-        (PipelineOptions(trials=2, norm_search_bound=Fraction(1, 2)), BadSearchBound),
-        (PipelineOptions(trials=True, norm_search_bound=0), BadTrialCount),
-        (PipelineOptions(trials=2, norm_search_bound=True), BadSearchBound),
-        (PipelineOptions(seed=1.5, trials=2, norm_search_bound=0), BadSeed),
-        (PipelineOptions(seed="1", trials=2, norm_search_bound=0), BadSeed),
-        (PipelineOptions(seed=None, trials=2, norm_search_bound=0), BadSeed),
-        (PipelineOptions(seed=False, trials=2, norm_search_bound=0), BadSeed),
+        (PipelineOptions(trials=2.5, norm_search_bound=0), _TRIALS),
+        (PipelineOptions(trials=Fraction(5, 2), norm_search_bound=0), _TRIALS),
+        (PipelineOptions(trials=2, norm_search_bound=1.5), _BOUND),
+        (PipelineOptions(trials=2, norm_search_bound=Fraction(1, 2)), _BOUND),
+        (PipelineOptions(trials=True, norm_search_bound=0), _TRIALS),
+        (PipelineOptions(trials=2, norm_search_bound=True), _BOUND),
+        (PipelineOptions(seed=1.5, trials=2, norm_search_bound=0), _SEED),
+        (PipelineOptions(seed="1", trials=2, norm_search_bound=0), _SEED),
+        (PipelineOptions(seed=None, trials=2, norm_search_bound=0), _SEED),
+        (PipelineOptions(seed=False, trials=2, norm_search_bound=0), _SEED),
     ],
     ids=[
         "float-trials",
@@ -147,27 +126,27 @@ def test_input_errors_share_one_base(error):
         "bool-seed",
     ],
 )
-def test_pipeline_rejects_non_integer_counts(options, error):
+def test_pipeline_rejects_non_integer_counts(options, message):
     # argparse hands the CLI ints, so only a library caller can pass these
-    with pytest.raises(error):
+    with pytest.raises(BadInput, match=message):
         run_pipeline(7, options)
 
 
 @pytest.mark.parametrize(
-    "seed, trials, error",
+    "seed, trials, message",
     [
-        (0, 0, BadTrialCount),
-        (0, -1, BadTrialCount),
-        (0, True, BadTrialCount),
-        (True, 1, BadSeed),
-        (1.5, 1, BadSeed),
-        ("0", 1, BadSeed),
+        (0, 0, _TRIALS),
+        (0, -1, _TRIALS),
+        (0, True, _TRIALS),
+        (True, 1, _SEED),
+        (1.5, 1, _SEED),
+        ("0", 1, _SEED),
     ],
     ids=["zero-trials", "negative-trials", "bool-trials", "bool-seed", "float-seed", "str-seed"],
 )
-def test_run_algebra_checks_rejects_bad_counts(seed, trials, error):
+def test_run_algebra_checks_rejects_bad_counts(seed, trials, message):
     # a root export: zero trials would give ten vacuous ok blocks that read as a PASS
-    with pytest.raises(error):
+    with pytest.raises(BadInput, match=message):
         pipeline.run_algebra_checks(CyclicAlgebra(make_field(7), 2), seed, trials)
 
 
@@ -549,18 +528,21 @@ def test_cli_fail_exit_code(monkeypatch, capsys):
 
 
 def test_cli_stage_error_exits_3(monkeypatch, capsys):
-    # an internal error raised inside a stage is neither a FAIL (1) nor a usage error (2)
-    def raising(algebra):
-        raise CapExceeded("closure exceeded its cap")
+    # an internal error raised inside a stage is neither a FAIL (1) nor a usage error (2);
+    # a stage raises only these three, and each must reach the CLI as an SbcertError
+    for error in (SbcertError, DivisionByZero, NotInvertible):
 
-    monkeypatch.setattr(pipeline, "group_report", raising)
-    code = cli.main(["--p", "7", "--trials", "1", "--quiet"])
-    assert code == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "sbcert: error: internal check raised CapExceeded: closure exceeded its cap\n"
-    )
+        def raising(algebra, error=error):
+            raise error("closure exceeded its cap")
+
+        monkeypatch.setattr(pipeline, "group_report", raising)
+        code = cli.main(["--p", "7", "--trials", "1", "--quiet"])
+        assert code == 3, error
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"sbcert: error: internal check raised {error.__name__}: closure exceeded its cap\n"
+        )
 
 
 

@@ -25,15 +25,7 @@ from sbcert.cyclotomic import (
     k_inverse,
     make_field,
 )
-from sbcert.errors import (
-    BadResidue,
-    DivisionByZero,
-    NotInvertible,
-    NotPrime,
-    PrimeTooLarge,
-    SingularBasis,
-    WrongResidue,
-)
+from sbcert.errors import BadInput, DivisionByZero, NotInvertible, SbcertError
 from sbcert.obstruction import choose_a
 from sbcert.pipeline import random_algebra_elem, random_field_elem, random_nonzero_algebra_elem
 from sbcert.projective import canonicalize
@@ -57,13 +49,13 @@ def test_make_field_d_is_smallest_order_three_residue():
 
 
 def test_make_field_rejections():
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadInput, match="6 is not prime"):
         make_field(6)
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadInput, match="1 is not prime"):
         make_field(1)
-    with pytest.raises(WrongResidue):
+    with pytest.raises(BadInput, match=r"p = 11 has p mod 3 = 2, need p = 1 \(mod 3\)"):
         make_field(11)
-    with pytest.raises(WrongResidue):
+    with pytest.raises(BadInput, match=r"need p = 1 \(mod 3\)"):
         make_field(5)
 
 
@@ -96,7 +88,7 @@ def _refuse_is_prime(n):
 def test_make_field_caps_p_before_the_primality_test(monkeypatch):
     monkeypatch.setattr(cyclotomic, "is_prime", _refuse_is_prime)
     for p in (109, 1000003, 2**61 - 1):
-        with pytest.raises(PrimeTooLarge, match=f"p = {p} is above 103"):
+        with pytest.raises(BadInput, match=f"p = {p} is above 103"):
             make_field(p)
     monkeypatch.undo()
     assert make_field(103).p == 103
@@ -105,7 +97,7 @@ def test_make_field_caps_p_before_the_primality_test(monkeypatch):
 @pytest.mark.parametrize("p", [7.0, [7], True], ids=["float", "list", "bool"])
 def test_make_field_validates_a_prime_it_already_holds(field7, p):
     # 7.0 == 7 and True == 1 as dict keys: the lookup must not come before the checks
-    with pytest.raises(NotPrime):
+    with pytest.raises(BadInput, match="is not prime"):
         make_field(p)
 
 
@@ -299,9 +291,9 @@ def test_apply_aut_is_ring_homomorphism(field7, rng):
 
 def test_apply_aut_bad_residue(field7, rng):
     x = random_field_elem(field7, rng)
-    with pytest.raises(BadResidue):
+    with pytest.raises(ValueError, match="t = 0 is not a unit modulo 7"):
         x.apply_aut(0)
-    with pytest.raises(BadResidue):
+    with pytest.raises(ValueError, match="t = 0 is not a unit modulo 7"):
         x.apply_aut(7)
 
 
@@ -398,7 +390,7 @@ def test_k_basis_is_unimodular_up_to_103():
 def test_k_basis_inverse_rejects_a_non_unimodular_basis(field7, monkeypatch):
     doubled = tuple(2 * eta for eta in gaussian_periods(field7))
     monkeypatch.setattr(cyclotomic, "gaussian_periods", lambda field: doubled)
-    with pytest.raises(SingularBasis):
+    with pytest.raises(SbcertError, match="the K-basis matrix is not unimodular"):
         cyclotomic._k_basis_inverse.__wrapped__(field7)
 
 

@@ -76,10 +76,13 @@ def _resolve(path: str):
 
 
 def _call_form_errors(match) -> list:
-    """The arguments of a call form that are not parameters of what it names."""
+    """The arguments of a call form that are not parameters of what it names.
+
+    The name is resolved first, so a bare name that names nothing raises too.
+    """
+    obj = _resolve(match["path"])
     if match["args"] is None:
         return []
-    obj = _resolve(match["path"])
     params = inspect.signature(obj).parameters
     args = [a.split("=")[0].strip() for a in match["args"].split(",") if a.strip()]
     return [f"{match[0]}: no parameter {a}" for a in args if a not in params]
@@ -180,6 +183,8 @@ def test_every_time_the_readme_quotes_is_in_a_bench_file_it_names():
         "- `make_fields(p)` returns a field.",
         "- `make_field(q)` returns a field.",
         "- `FieldElem.nrom()` is the norm.",
+        "- `FieldElem.nrom` is the norm.",
+        "- `make_field(6)` raises `NotPrime`.",
         "A default run takes 21.4 s at p = 37.",
         "`BENCH_9.json`: certify-p7 0.87 s -> 123.456 s.",
         "`BENCH_99.json`: group-p19 0.043 s -> 0.030 s.",
