@@ -1,7 +1,9 @@
 """Command-line entry point: run the pipeline and emit a JSON certificate."""
 
 import argparse
+import os
 import sys
+from contextlib import nullcontext
 
 from .errors import BadInput, SbcertError
 from .pipeline import PipelineOptions, certificate_to_json, run_pipeline
@@ -50,6 +52,9 @@ def main(argv=None) -> int:
     )
     try:
         cert = run_pipeline(args.p, options)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+            fh.write(certificate_to_json(cert) + "\n")
+            fh.flush()
     except BadInput as exc:
         print(f"sbcert: error: {exc}", file=sys.stderr)
         return 2
@@ -58,17 +63,15 @@ def main(argv=None) -> int:
         name = type(exc).__name__
         print(f"sbcert: error: internal check raised {name}: {exc}", file=sys.stderr)
         return 3
-
-    payload = certificate_to_json(cert) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"sbcert: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        where = args.out or "stdout"
+        print(f"sbcert: error: cannot write {where}: {exc.strerror}", file=sys.stderr)
+        if not args.out:  # the exit flush must not fail again (SIGPIPE, Python's signal docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except KeyboardInterrupt:
+        print("sbcert: error: interrupted", file=sys.stderr)
+        return 130
     if not args.quiet:
         group = cert.group
         print(

@@ -128,9 +128,9 @@ def _trial_blocks(seed, blocks) -> list:
 
     With two CPUs and no other thread, a forked child checks half 1 while the
     parent checks half 0, the larger; the child exits 0 only when its half had
-    no failure.  With no child, or one that did not exit 0, the parent checks
-    half 1 itself, so the counts and the first error raised are those of one
-    process.  An error in half 0 kills and reaps the child first.
+    no failure.  With no child, or one that did not exit 0 or left no status,
+    the parent checks half 1 itself, so counts and the first error are those
+    of one process.  An error or interrupt before the reap kills and reaps it.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     pid = None
@@ -142,14 +142,19 @@ def _trial_blocks(seed, blocks) -> list:
             os._exit(int(any(_failures(seed, blocks, 1))))
         finally:  # half 1 raised
             os._exit(1)
+    status = 1  # no child, or no status to read, counts as a failed child
     try:
         counts = _failures(seed, blocks, 0)
+        if pid:
+            with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored, or reaped elsewhere
+                status = os.waitpid(pid, 0)[1]
     except BaseException:
         if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):  # already gone
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         raise
-    if pid is None or os.waitpid(pid, 0)[1]:
+    if status:
         counts = list(map(add, counts, _failures(seed, blocks, 1)))
     return counts
 
@@ -232,7 +237,7 @@ class Certificate:
     failed_stage: Optional[str]
     obstruction: ObstructionReport
     algebra_checks: dict
-    group: Optional[GroupReport]
+    group: GroupReport
     timings_ms: dict
 
     @property

@@ -381,14 +381,48 @@ MUTANTS = (
     Mutant(
         "the child's exit status ignored by the forked trial blocks",
         "pipeline.py",
-        "if pid is None or os.waitpid(pid, 0)[1]:",
-        "if pid is None or os.waitpid(pid, 0)[1] < 0:",
+        "status = os.waitpid(pid, 0)[1]\n",
+        "status = os.waitpid(pid, 0)[1] < 0\n",
         (
             "tests/test_pipeline_fork.py::"
             "test_a_check_refusing_one_sample_in_either_half_counts_as_the_serial_run[child]",
             "tests/test_algebra.py::test_norm_oracle_cannot_see_the_sign_of_nrd",
             "tests/test_pipeline_fork.py::test_every_trial_refused_counts_every_trial_of_an_odd_block",
         ),
+    ),
+    Mutant(
+        # the wait moves below the handler, which then cannot reap after it
+        "the parent's wait outside the guard",
+        "pipeline.py",
+        "        if pid:\n"
+        "            with contextlib.suppress(ChildProcessError):"
+        "  # SIGCHLD ignored, or reaped elsewhere\n"
+        "                status = os.waitpid(pid, 0)[1]\n"
+        "    except BaseException:\n"
+        "        if pid:\n"
+        "            with contextlib.suppress(ProcessLookupError, ChildProcessError):"
+        "  # already gone\n"
+        "                os.kill(pid, signal.SIGKILL)\n"
+        "                os.waitpid(pid, 0)\n"
+        "        raise\n",
+        "    except BaseException:\n"
+        "        if pid:\n"
+        "            os.kill(pid, signal.SIGKILL)\n"
+        "            os.waitpid(pid, 0)\n"
+        "        raise\n"
+        "    if pid:\n"
+        "        with contextlib.suppress(ChildProcessError):\n"
+        "            status = os.waitpid(pid, 0)[1]\n",
+        ("tests/test_pipeline_fork.py::"
+         "test_an_interrupt_in_the_parents_wait_kills_and_reaps_the_child",),
+    ),
+    Mutant(
+        "a lost child status raises",
+        "pipeline.py",
+        "with contextlib.suppress(ChildProcessError):",
+        "with contextlib.suppress():",
+        ("tests/test_pipeline_fork.py::"
+         "test_an_ignored_sigchld_loses_the_childs_status_and_counts_as_one_cpu",),
     ),
     Mutant(
         "the odd trial of a block dropped from half 0",
@@ -498,6 +532,22 @@ MUTANTS = (
             "tests/test_projective.py::"
             "test_group_report_reads_the_generators_at_the_classes_of_zeta_and_alpha",
         ),
+    ),
+    Mutant(
+        "stdout written outside the guard",
+        "cli.py",
+        "    except OSError as exc:\n",
+        "    except (OSError if args.out else ()) as exc:\n",
+        ("tests/test_certificate_cli.py::test_cli_unwritable_out_path[closed-pipe]",),
+    ),
+    Mutant(
+        "KeyboardInterrupt left to the interpreter",
+        "cli.py",
+        "    except KeyboardInterrupt:\n"
+        '        print("sbcert: error: interrupted", file=sys.stderr)\n'
+        "        return 130\n",
+        "",
+        ("tests/test_certificate_cli.py::test_cli_interrupted_exits_130_and_leaves_no_process",),
     ),
     Mutant(
         "choose_a dropped from the package root",

@@ -1,7 +1,13 @@
 """Pipeline orchestration, certificate serialization, CLI behavior."""
 
+import contextlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sbcert
 import sbcert.algebra as algebra_module
 import sbcert.cli as cli
 import sbcert.cyclotomic as cyclotomic
@@ -32,6 +39,11 @@ from sbcert.rationals import Rat
 
 FAST = PipelineOptions(trials=10, norm_search_bound=0)
 GOLDEN = Path(__file__).parent / "golden"
+# a CLI subprocess imports the package this suite imports, a mutated copy included
+_PACKAGE_ROOT = str(Path(sbcert.__file__).resolve().parent.parent)
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
+))
 
 
 @pytest.fixture(scope="module")
@@ -438,15 +450,81 @@ def test_cli_pass(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_cli_unwritable_out_path(tmp_path, capsys):
+def _sbcert(*args, **popen) -> subprocess.Popen:
+    """The CLI in a subprocess, its stderr piped as text."""
+    return subprocess.Popen([sys.executable, "-m", "sbcert.cli", *args], env=_ENV,
+                            stderr=subprocess.PIPE, text=True, **popen)
+
+
+def _exit_and_stderr(stdout) -> tuple:
+    with _sbcert("--p", "7", "--trials", "1", stdout=stdout) as proc:
+        err = proc.communicate(timeout=120)[1]
+    return proc.returncode, err
+
+
+def _missing_directory(tmp_path, capsys) -> tuple:
     out = tmp_path / "missing" / "c.json"
     code = cli.main(["--p", "7", "--trials", "1", "--out", str(out)])
-    assert code == 2
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("sbcert: error: cannot write ")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return code, captured.err
+
+
+def _closed_pipe(tmp_path, capsys) -> tuple:
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return _exit_and_stderr(write)
+    finally:
+        os.close(write)
+
+
+def _dev_full(tmp_path, capsys) -> tuple:
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as full:
+        return _exit_and_stderr(full)
+
+
+@pytest.mark.parametrize(
+    "target", [_missing_directory, _closed_pipe, _dev_full],
+    ids=["missing-directory", "closed-pipe", "dev-full"],
+)
+def test_cli_unwritable_out_path(target, tmp_path, capsys):
+    # an --out path or a stdout that refuses the certificate: exit 2 and one line
+    code, err = target(tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("sbcert: error: cannot write ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_interrupted_exits_130_and_leaves_no_process():
+    # its own session, so the process group is the run and any child it forked
+    with _sbcert("--p", "31", stdout=subprocess.DEVNULL, start_new_session=True) as proc:
+        try:
+            time.sleep(1.5)
+            os.kill(proc.pid, signal.SIGINT)
+            err = proc.communicate(timeout=60)[1]
+            assert (proc.returncode, err) == (130, "sbcert: error: interrupted\n")
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+
+
+def test_cli_with_sigchld_ignored_writes_the_golden_certificate():
+    # the kernel reaps a forked child itself, and its status is lost
+    def ignore_sigchld():
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+
+    with _sbcert("--p", "7", "--quiet", stdout=subprocess.PIPE, preexec_fn=ignore_sigchld) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, "")
+    doc = json.loads(out)
+    doc.pop("timings_ms")
+    assert json.dumps(doc, indent=2) + "\n" == (GOLDEN / "cert_p7.json").read_text()
 
 
 def test_cli_stdout_and_quiet(capsys):

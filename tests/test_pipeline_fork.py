@@ -1,9 +1,12 @@
 """The algebra trial blocks split across a forked child: the serial result, no child left."""
 
+import contextlib
 import errno
 import json
 import os
+import signal
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -150,6 +153,55 @@ def test_no_child_to_spare_runs_in_process(alg7, two_cpus, monkeypatch):
     assert _open_fds() == fds  # no descriptor left open
     _no_child_left()
     assert two_cpus == []
+
+
+def test_an_ignored_sigchld_loses_the_childs_status_and_counts_as_one_cpu(
+    alg7, two_cpus, monkeypatch
+):
+    # with SIGCHLD ignored the kernel reaps the child itself, and the parent's
+    # wait finds no child; half 1 then runs in-process
+    serial = _serial(monkeypatch, alg7, 3, 5)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        forked = run_algebra_checks(alg7, 3, 5)
+        _no_child_left()
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert two_cpus == [None]
+    assert forked == serial
+
+
+def test_an_interrupt_in_the_parents_wait_kills_and_reaps_the_child(alg7, two_cpus, monkeypatch):
+    # the alarm stands for Ctrl-C; no real SIGINT reaches pytest
+    real, pids = pipeline._failures, []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+
+    def failures(seed, blocks, half):
+        counts = real(seed, blocks, half)
+        if half:
+            time.sleep(2)  # the child's half, still running when the alarm fires
+        else:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)  # fires in the parent's wait
+        return counts
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "_failures", failures)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_algebra_checks(alg7, 0, 4)
+        _no_child_left()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        for pid in filter(None, pids):  # a child the parent left behind
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    assert two_cpus == [None]
 
 
 def test_cli_without_a_child_to_spare_writes_the_golden_certificate(
